@@ -23,7 +23,7 @@ from fpw.words import format_word, shortlex_stream
 def census(max_len: int) -> list:
     found = []
     for word in shortlex_stream(ST):
-        if len(word.letters) > max_len:
+        if len(word) > max_len:
             break
         if bs_is_trivial(BS23, word):
             found.append(word)

@@ -13,7 +13,6 @@ what makes this a decision procedure rather than a semi-decision.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,8 +20,8 @@ from .presentations import FinitePresentation
 from .words import (
     Alphabet,
     GeneratorMap,
-    Letter,
     Word,
+    _word,
     commutator,
     free_reduce,
     invert,
@@ -31,8 +30,6 @@ from .words import (
 )
 
 ST = Alphabet.of("s", "t")
-_S = ST.gen("s")
-_T = ST.gen("t")
 
 
 @dataclass(frozen=True)
@@ -105,31 +102,28 @@ def _normalize(runs: list[int], signs: list[int]) -> tuple[list[int], list[int]]
 
 def to_syllables(w: Word) -> SyllableWord:
     """Convert a word over a sub-alphabet of {s, t} to syllable form."""
+    names = w.alphabet.names()
+    s, t = (names.index(x) + 1 if x in names else 0 for x in ("s", "t"))
     runs = [0]
     signs: list[int] = []
-    for let in w.letters:
-        if let.gen.name == "t":
-            runs[-1] += let.sign
-        elif let.gen.name == "s":
-            signs.append(let.sign)
+    for c in w.codes:
+        if c == t or c == -t:
+            runs[-1] += 1 if c > 0 else -1
+        elif c == s or c == -s:
+            signs.append(1 if c > 0 else -1)
             runs.append(0)
         else:
-            raise ValueError(f"foreign generator {let.gen.name!r}; expected only s, t")
+            raise ValueError(f"foreign generator {names[abs(c) - 1]!r}; expected only s, t")
     return SyllableWord(tuple(runs), tuple(signs))
 
 
 def from_syllables(sw: SyllableWord) -> Word:
-    letters: list[Letter] = []
-
-    def push_t(a: int):
-        sign = 1 if a > 0 else -1
-        letters.extend([Letter(_T, sign)] * abs(a))
-
-    push_t(sw.t_runs[0])
+    s, t = ST.code("s"), ST.code("t")
+    codes = [t if sw.t_runs[0] > 0 else -t] * abs(sw.t_runs[0])
     for e, a in zip(sw.s_signs, sw.t_runs[1:]):
-        letters.append(Letter(_S, e))
-        push_t(a)
-    return free_reduce(Word(ST, tuple(letters)))
+        codes.append(s * e)
+        codes += [t if a > 0 else -t] * abs(a)
+    return _word(ST, codes)
 
 
 def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int]:
@@ -214,31 +208,16 @@ def w_family(i: int) -> Word:
     return w
 
 
-class KernelStream:
+def kernel_stream(iterate: int) -> Iterator[Word]:
     """Shortlex enumeration of the words killed by the i-fold doubling map.
 
     Emits exactly those reduced words w over {s, t} for which apply_f(w, i)
-    is trivial in BS(2,3), in shortlex order.
+    is trivial in BS(2,3), in shortlex order.  A negative iterate raises
+    here, not at the first ``next``.
     """
-
-    def __init__(self, iterate: int):
-        if iterate < 0:
-            raise ValueError("iterate must be >= 0")
-        self.iterate = iterate
-        self._source: Iterator[Word] = shortlex_stream(ST)
-
-    def __iter__(self) -> "KernelStream":
-        return self
-
-    def __next__(self) -> Word:
-        for w in self._source:
-            if bs_is_trivial(BS23, apply_f(w, self.iterate)):
-                return w
-        raise StopIteration  # unreachable: the source is infinite
-
-
-def kernel_stream(iterate: int) -> KernelStream:
-    return KernelStream(iterate)
+    if iterate < 0:
+        raise ValueError("iterate must be >= 0")
+    return (w for w in shortlex_stream(ST) if bs_is_trivial(BS23, apply_f(w, iterate)))
 
 
 def f_preimage_witnesses() -> GeneratorMap:

@@ -20,7 +20,6 @@ from typing import Sequence
 from .bs import (
     BS23,
     BSParams,
-    KernelStream,
     ST,
     apply_f,
     bs_equal,
@@ -169,7 +168,7 @@ def _cmd_wfam(args) -> int:
 
 
 def _cmd_kernel_enum(args) -> int:
-    stream: KernelStream = kernel_stream(args.iterate)
+    stream = kernel_stream(args.iterate)
     for _ in range(args.count):
         print(format_word(next(stream)))
     return EXIT_OK

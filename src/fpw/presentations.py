@@ -15,9 +15,11 @@ from typing import Callable, Iterator, NamedTuple
 
 from .words import (
     Alphabet,
-    Letter,
+    ShortlexWords,
     Word,
     WordParseError,
+    _inverse,
+    _word,
     format_word,
     free_reduce,
     invert,
@@ -37,12 +39,10 @@ class FinitePresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        reduced = []
         for r in self.relators:
             if r.alphabet != self.generators:
                 raise ValueError("relator is not a word over the presentation's generators")
-            reduced.append(free_reduce(r))
-        object.__setattr__(self, "relators", tuple(reduced))
+        object.__setattr__(self, "relators", tuple(self.relators))
 
     def format(self) -> str:
         gens = ", ".join(self.generators.names())
@@ -53,13 +53,7 @@ class FinitePresentation:
 
     def canonical_text(self) -> str:
         """Serialization with relators sorted in shortlex order (for hashing)."""
-        gens = ", ".join(self.generators.names())
-        rels = ", ".join(
-            format_word(r) for r in sorted(self.relators, key=lambda w: w.shortlex_key())
-        )
-        if not rels:
-            return f"< {gens} | >"
-        return f"< {gens} | {rels} >"
+        return FinitePresentation(self.generators, tuple(sorted(self.relators, key=Word.shortlex_key))).format()
 
     def __str__(self) -> str:
         return self.format()
@@ -199,15 +193,30 @@ class TrivialityCertificate:
 
     @classmethod
     def from_json(cls, alphabet: Alphabet, data: list[dict]) -> "TrivialityCertificate":
+        """Decode and validate JSON; raises ValueError naming the bad field."""
+        if not isinstance(data, list):
+            raise ValueError("certificate must be a JSON list of factors")
         factors = []
-        for item in data:
-            factors.append(
-                CertFactor(parse_word(alphabet, item["conj"]), int(item["rel"]), int(item["sign"]))
-            )
+        for k, item in enumerate(data):
+            where = f"certificate factor {k}"
+            if not isinstance(item, dict):
+                raise ValueError(f"{where} must be an object")
+            conj = _json_field(item, "conj", str, where)
+            rel = _json_field(item, "rel", int, where)
+            sign = _json_field(item, "sign", int, where)
+            factors.append(CertFactor(parse_word(alphabet, conj), rel, sign))
         return cls(tuple(factors))
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
+
+
+def _json_field(data: dict, key: str, kind: type, where: str):
+    """``data[key]``, which must be present and of type ``kind`` (bools are not ints)."""
+    value = data.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: field {key!r} is missing or not a JSON {'string' if kind is str else 'integer'}")
+    return value
 
 
 class _RelatorPool:
@@ -219,21 +228,26 @@ class _RelatorPool:
     """
 
     def __init__(self, pres: Presentation):
+        self.generators = pres.generators
         if isinstance(pres, FinitePresentation):
             self._pool = list(pres.relators)
             self._src: Iterator[Word] | None = None
         else:
             self._pool = []
             self._src = pres.relator_stream()
-        self._inverses: list[Word] = []
+        self._codes: dict[int, tuple[int, ...]] = {}
 
     def ensure(self, k: int) -> None:
         """Pull until the pool holds ``k`` relators or the source is exhausted."""
         while self._src is not None and len(self._pool) < k:
             try:
-                self._pool.append(free_reduce(next(self._src)))
+                r = next(self._src)
             except StopIteration:
                 self._src = None
+                break
+            if r.alphabet != self.generators:
+                raise ValueError("relator is not a word over the presentation's generators")
+            self._pool.append(r)
 
     @property
     def count(self) -> int:
@@ -243,21 +257,25 @@ class _RelatorPool:
     def exhausted(self) -> bool:
         return self._src is None
 
-    def relator(self, i: int) -> Word:
-        return self._pool[i]
-
-    def inverse(self, i: int) -> Word:
-        while len(self._inverses) <= i:
-            self._inverses.append(invert(self._pool[len(self._inverses)]))
-        return self._inverses[i]
+    def codes(self, i: int, sign: int) -> tuple[int, ...]:
+        """Letter codes of relator ``i`` or, for sign -1, of its inverse; cached."""
+        key = (i + 1) * sign
+        if key not in self._codes:
+            r = self._pool[i].codes
+            self._codes[key] = r if sign == 1 else _inverse(r)
+        return self._codes[key]
 
 
 def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
-    """Evaluate a certificate to the reduced word it proves trivial."""
+    """Evaluate a certificate to the reduced word it proves trivial.
+
+    The factors' codes are concatenated and reduced once, which gives the
+    same word as multiplying the factors in one at a time.
+    """
     pool = _RelatorPool(pres)
     if cert.factors:
         pool.ensure(max(f.relator_index for f in cert.factors) + 1)
-    out = pres.generators.empty_word()
+    codes: list[int] = []
     for c, i, e in cert.factors:
         if c.alphabet != pres.generators:
             raise ValueError("conjugator is not a word over the presentation's generators")
@@ -265,9 +283,10 @@ def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
             continue  # c . empty . c^-1 contributes nothing
         if i >= pool.count:
             raise ValueError(f"relator index {i} out of range")
-        r = pool.relator(i) if e == 1 else pool.inverse(i)
-        out = out * c * r * invert(c)
-    return out
+        codes += c.codes
+        codes += pool.codes(i, e)
+        codes += _inverse(c.codes)
+    return _word(pres.generators, codes)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -278,27 +297,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-class _ShortlexTable:
-    """Random access to reduced words, grouped by length, in shortlex order."""
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._levels: list[list[Word]] = [[alphabet.empty_word()]]
-
-    def words_of_length(self, n: int) -> list[Word]:
-        letters = self.alphabet.ordered_letters
-        while len(self._levels) <= n:
-            nxt = []
-            for w in self._levels[-1]:
-                last = w.letters[-1] if w.letters else None
-                for let in letters:
-                    if last is not None and let == last.inverse():
-                        continue
-                    nxt.append(Word(self.alphabet, w.letters + (let,)))
-            self._levels.append(nxt)
-        return self._levels[n]
 
 
 def trivial_word_stream(
@@ -322,10 +320,12 @@ def trivial_word_stream(
     The stream may emit the same word under different certificates; use
     ``unique_words`` to deduplicate.
     """
+    alphabet = pres.generators
     pool = _RelatorPool(pres)
-    table = _ShortlexTable(pres.generators)
-    empty = pres.generators.empty_word()
-    yield empty, TrivialityCertificate(())
+    table = ShortlexWords(alphabet)
+    # per length: each conjugator with its codes and its inverse's codes
+    levels: dict[int, list[tuple[Word, tuple[int, ...], tuple[int, ...]]]] = {}
+    yield alphabet.empty_word(), TrivialityCertificate(())
     for size in itertools.count(1):
         pool.ensure(size)
         if pool.count == 0:
@@ -337,20 +337,22 @@ def trivial_word_stream(
             for max_idx in range(0, min(rest, pool.count - 1) + 1):
                 conj_total = rest - max_idx
                 for comp in _compositions(conj_total, n):
-                    word_lists = [table.words_of_length(ln) for ln in comp]
-                    for conjs in itertools.product(*word_lists):
+                    for ln in comp:
+                        if ln not in levels:
+                            levels[ln] = [(c, c.codes, _inverse(c.codes)) for c in table.of_length(ln)]
+                    for conjs in itertools.product(*(levels[ln] for ln in comp)):
+                        words = tuple(c for c, _, _ in conjs)
                         for idxs in itertools.product(range(max_idx + 1), repeat=n):
                             if max(idxs) != max_idx:
                                 continue
                             for signs in itertools.product((1, -1), repeat=n):
-                                w = empty
-                                for c, i, e in zip(conjs, idxs, signs):
-                                    r = pool.relator(i) if e == 1 else pool.inverse(i)
-                                    w = w * c * r * invert(c)
-                                cert = TrivialityCertificate(
-                                    tuple(CertFactor(c, i, e) for c, i, e in zip(conjs, idxs, signs))
-                                )
-                                yield w, cert
+                                codes: list[int] = []
+                                for (_, c, c_inv), i, e in zip(conjs, idxs, signs):
+                                    codes += c
+                                    codes += pool.codes(i, e)
+                                    codes += c_inv
+                                cert = TrivialityCertificate(tuple(map(CertFactor, words, idxs, signs)))
+                                yield _word(alphabet, codes), cert
 
 
 def unique_words(
@@ -473,22 +475,16 @@ class IntMatrix:
 
 def exponent_matrix(pres: FinitePresentation) -> IntMatrix:
     """Relator-by-generator matrix of exponent sums."""
-    gens = pres.generators.generators
-    index = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for r in pres.relators:
-        row = [0] * len(gens)
-        for let in r.letters:
-            row[index[let.gen]] += let.sign
-        rows.append(tuple(row))
-    return IntMatrix(len(pres.relators), len(gens), tuple(rows))
+    rows = tuple(exponent_vector(pres.generators, r) for r in pres.relators)
+    return IntMatrix(len(rows), len(pres.generators), rows)
 
 
 def exponent_vector(alphabet: Alphabet, w: Word) -> tuple[int, ...]:
-    index = {g: i for i, g in enumerate(alphabet.generators)}
-    row = [0] * len(alphabet.generators)
-    for let in w.letters:
-        row[index[let.gen]] += let.sign
+    if w.alphabet != alphabet:
+        raise ValueError("word is not over the given alphabet")
+    row = [0] * len(alphabet)
+    for c in w.codes:
+        row[abs(c) - 1] += 1 if c > 0 else -1
     return tuple(row)
 
 

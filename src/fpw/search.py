@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from .harness import cantor_unpair, cantor_untuple
 from .presentations import (
@@ -42,7 +42,7 @@ from .presentations import (
     trivial_word_stream,
     ProvedTrivial,
 )
-from .words import Alphabet, GeneratorMap, Word, invert, shortlex_stream, substitute
+from .words import Alphabet, GeneratorMap, ShortlexWords, Word, invert, shortlex_stream, substitute
 
 WordOracle = Callable[[Word], bool]
 """A total decision procedure for one group's word problem."""
@@ -129,27 +129,11 @@ def decide_homomorphism(
     return all(oracle_cod(substitute(r, phi)) for r in dom.relators)
 
 
-class _MapTable:
-    """Candidate generator maps domain -> codomain*, indexed by naturals.
-
-    Index a decodes through the Cantor tuple bijection to one shortlex word
-    index per domain generator.
-    """
-
-    def __init__(self, domain: Alphabet, codomain: Alphabet):
-        self.domain = domain
-        self.codomain = codomain
-        self._words: list[Word] = []
-        self._src = shortlex_stream(codomain)
-
-    def word_at(self, i: int) -> Word:
-        while len(self._words) <= i:
-            self._words.append(next(self._src))
-        return self._words[i]
-
-    def map_at(self, a: int) -> GeneratorMap:
-        idx = cantor_untuple(a, len(self.domain.generators))
-        return GeneratorMap(self.domain, self.codomain, tuple(self.word_at(i) for i in idx))
+def _map_at(domain: Alphabet, codomain_words: ShortlexWords, a: int) -> GeneratorMap:
+    """Candidate map a: a decodes through the Cantor tuple bijection to one
+    shortlex word index per domain generator."""
+    idx = cantor_untuple(a, len(domain))
+    return GeneratorMap(domain, codomain_words.alphabet, tuple(codomain_words[i] for i in idx))
 
 
 class _AbelianTester:
@@ -176,6 +160,13 @@ class _AbelianTester:
         return True
 
 
+def _round_trips(there: GeneratorMap, back: GeneratorMap) -> list[Word]:
+    """back(there(g)) g^-1 for each generator g of ``there``'s domain; all are
+    trivial exactly when back . there fixes every generator."""
+    gens = there.domain
+    return [img * invert(gens.gen_word(g.name)) for g, img in zip(gens.generators, there.then(back).images)]
+
+
 class _SideState:
     def __init__(self, pres: FinitePresentation, targets: set[Word]):
         self.pending = set(targets)
@@ -197,8 +188,8 @@ class _PairScanner:
         self.left = left
         self.right = right
         self.per_side = per_side
-        self.phis = _MapTable(left.generators, right.generators)
-        self.psis = _MapTable(right.generators, left.generators)
+        self.left_words = ShortlexWords(left.generators)
+        self.right_words = ShortlexWords(right.generators)
         self.ab_left = _AbelianTester(left)
         self.ab_right = _AbelianTester(right)
         self.next_pair = 0
@@ -207,21 +198,13 @@ class _PairScanner:
         """Verify the next pair; returns (witness or None, emissions used)."""
         a, b = cantor_unpair(self.next_pair)
         self.next_pair += 1
-        phi = self.phis.map_at(a)
-        psi = self.psis.map_at(b)
+        phi = _map_at(self.left.generators, self.right_words, a)
+        psi = _map_at(self.right.generators, self.left_words, b)
 
-        left_targets: set[Word] = set()
-        right_targets: set[Word] = set()
-        for rel in self.left.relators:
-            right_targets.add(substitute(rel, phi))
-        for rel in self.right.relators:
-            left_targets.add(substitute(rel, psi))
-        for g in self.left.generators.generators:
-            gw = self.left.generators.gen_word(g.name)
-            left_targets.add(substitute(substitute(gw, phi), psi) * invert(gw))
-        for g in self.right.generators.generators:
-            gw = self.right.generators.gen_word(g.name)
-            right_targets.add(substitute(substitute(gw, psi), phi) * invert(gw))
+        left_targets = {substitute(rel, psi) for rel in self.right.relators}
+        left_targets.update(_round_trips(phi, psi))
+        right_targets = {substitute(rel, phi) for rel in self.left.relators}
+        right_targets.update(_round_trips(psi, phi))
 
         if not all(self.ab_left.trivial_possible(w) for w in left_targets):
             return None, 0
@@ -281,17 +264,9 @@ def verify_iso_witness(
         return False
     if not isinstance(semidecide_homomorphism(witness.backward, right, left, budget), Proved):
         return False
-    for g in left.generators.generators:
-        gw = left.generators.gen_word(g.name)
-        target = substitute(substitute(gw, witness.forward), witness.backward) * invert(gw)
-        if not isinstance(semidecide_trivial(left, target, budget), ProvedTrivial):
-            return False
-    for g in right.generators.generators:
-        gw = right.generators.gen_word(g.name)
-        target = substitute(substitute(gw, witness.backward), witness.forward) * invert(gw)
-        if not isinstance(semidecide_trivial(right, target, budget), ProvedTrivial):
-            return False
-    return True
+    trips = [(left, w) for w in _round_trips(witness.forward, witness.backward)]
+    trips += [(right, w) for w in _round_trips(witness.backward, witness.forward)]
+    return all(isinstance(semidecide_trivial(p, w, budget), ProvedTrivial) for p, w in trips)
 
 
 @dataclass

@@ -17,16 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .presentations import (
     FinitePresentation,
     ProvedTrivial,
     TrivialityCertificate,
+    _json_field,
     certificate_word,
     semidecide_trivial,
 )
-from .words import Alphabet, Generator, GeneratorMap, Word, concat, format_word, invert, parse_word, substitute
+from .words import Alphabet, Generator, GeneratorMap, Word, _word, concat, format_word, invert, parse_word, substitute
 
 
 class TietzeError(Exception):
@@ -79,7 +80,7 @@ class RemoveGenerator:
     index: int
 
 
-TietzeMove = Union[AddRelator, RemoveRelator, AddGenerator, RemoveGenerator]
+TietzeMove = AddRelator | RemoveRelator | AddGenerator | RemoveGenerator
 
 
 def _certificate_error(
@@ -104,8 +105,10 @@ def _removed(pres: FinitePresentation, index: int) -> FinitePresentation:
 
 
 def _lift(word: Word, alphabet: Alphabet) -> Word:
-    """The same letters read over a different alphabet containing them."""
-    return Word(alphabet, word.letters)
+    """The same word over another alphabet containing its letters, each
+    letter re-encoded by its generator's name (codes are positional)."""
+    names = word.alphabet.names()
+    return _word(alphabet, [alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes])
 
 
 def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation:
@@ -151,12 +154,13 @@ def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation
                 f"relator index {move.index} out of range for {len(pres.relators)} relators"
             )
         rel = pres.relators[move.index]
-        if not rel.letters or rel.letters[0] != (Generator(move.name), 1):
+        code = pres.generators.code(move.name)
+        if not rel.codes or rel.codes[0] != code:
             raise DefiningRelatorNotFound(
                 f"relator {move.index} does not start with '{move.name}'"
             )
-        tail = Word(pres.generators, rel.letters[1:])
-        if any(letter.gen.name == move.name for letter in tail.letters):
+        tail = _word(pres.generators, rel.codes[1:])
+        if code in tail.codes or -code in tail.codes:
             raise DefiningRelatorNotFound(
                 f"relator {move.index} uses '{move.name}' outside its leading letter"
             )
@@ -231,21 +235,27 @@ def move_to_json(move: TietzeMove) -> dict:
 
 
 def parse_move(pres: FinitePresentation, data: dict) -> TietzeMove:
-    """Decode one move against the presentation it will apply to."""
+    """Decode one move against the presentation it will apply to; malformed
+    JSON raises ValueError naming the bad field."""
+    if not isinstance(data, dict):
+        raise ValueError("a move must be a JSON object")
     op = data.get("op")
+    where = f"move {op!r}"
     if op == "add_rel":
-        word = parse_word(pres.generators, data["word"])
+        word = parse_word(pres.generators, _json_field(data, "word", str, where))
         cert = data.get("cert")
         certificate = None if cert is None else TrivialityCertificate.from_json(pres.generators, cert)
         return AddRelator(word, certificate)
     if op == "rem_rel":
+        index = _json_field(data, "index", int, where)
         cert = data.get("cert")
         certificate = None if cert is None else TrivialityCertificate.from_json(pres.generators, cert)
-        return RemoveRelator(int(data["index"]), certificate)
+        return RemoveRelator(index, certificate)
     if op == "add_gen":
-        return AddGenerator(data["name"], parse_word(pres.generators, data["definition"]))
+        definition = parse_word(pres.generators, _json_field(data, "definition", str, where))
+        return AddGenerator(_json_field(data, "name", str, where), definition)
     if op == "rem_gen":
-        return RemoveGenerator(data["name"], int(data["index"]))
+        return RemoveGenerator(_json_field(data, "name", str, where), _json_field(data, "index", int, where))
     raise ValueError(f"unknown move op: {op!r}")
 
 
@@ -313,34 +323,22 @@ def check_move(
     certificate found, and running out of budget returns Unverifiable rather
     than a verdict.
     """
-    if isinstance(move, AddRelator):
+    if isinstance(move, AddRelator) and move.certificate is None:
         if move.word.alphabet != pres.generators:
             return Invalid("relator is not a word over the presentation's generators")
-        if move.certificate is not None:
-            reason = _certificate_error(pres, move.certificate, move.word)
-            return Valid(move.certificate) if reason is None else Invalid(reason)
         outcome = semidecide_trivial(pres, move.word, budget)
-        if isinstance(outcome, ProvedTrivial):
-            return Valid(outcome.certificate)
-        return Unverifiable(budget)
-
-    if isinstance(move, RemoveRelator):
+    elif isinstance(move, RemoveRelator) and move.certificate is None:
         if not 0 <= move.index < len(pres.relators):
             return Invalid(
                 f"relator index {move.index} out of range for {len(pres.relators)} relators"
             )
-        remaining = _removed(pres, move.index)
-        target = pres.relators[move.index]
-        if move.certificate is not None:
-            reason = _certificate_error(remaining, move.certificate, target)
-            return Valid(move.certificate) if reason is None else Invalid(reason)
-        outcome = semidecide_trivial(remaining, target, budget)
-        if isinstance(outcome, ProvedTrivial):
-            return Valid(outcome.certificate)
-        return Unverifiable(budget)
-
-    try:
-        apply_move(pres, move)
-    except TietzeError as e:
-        return Invalid(e.message)
-    return Valid(None)
+        outcome = semidecide_trivial(_removed(pres, move.index), pres.relators[move.index], budget)
+    else:
+        try:
+            apply_move(pres, move)
+        except TietzeError as e:
+            return Invalid(e.message)
+        return Valid(getattr(move, "certificate", None))
+    if isinstance(outcome, ProvedTrivial):
+        return Valid(outcome.certificate)
+    return Unverifiable(budget)

@@ -1,16 +1,18 @@
 """Free-group words over a finite alphabet.
 
-Words are tuples of signed letters.  Every public operation returns words in
-freely reduced form; raw (unreduced) letter sequences appear only transiently
-at parse boundaries, and ``free_reduce`` normalises those.
+Words are tuples of integer letter codes, +-(generator index + 1), the way
+GAP and kbmag store them.  Letters are validated where they enter (parsing,
+``Word(alphabet, letters)``, ``GeneratorMap``); every public operation
+returns words in freely reduced form.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # characters that would collide with the word / presentation / map grammars
 _FORBIDDEN_CHARS = set("^,|<>=")
@@ -65,30 +67,26 @@ class Alphabet:
         return cls(tuple(Generator(n) for n in names))
 
     @cached_property
-    def _by_name(self) -> dict[str, Generator]:
-        return {g.name: g for g in self.generators}
+    def _codes(self) -> dict[str, int]:
+        return {g.name: i + 1 for i, g in enumerate(self.generators)}
 
     @cached_property
     def ordered_letters(self) -> tuple[Letter, ...]:
         """Letters in declaration order, each generator followed by its inverse."""
-        out = []
-        for g in self.generators:
-            out.append(Letter(g, 1))
-            out.append(Letter(g, -1))
-        return tuple(out)
+        return tuple(Letter(g, sign) for g in self.generators for sign in (1, -1))
 
-    @cached_property
-    def _letter_rank(self) -> dict[Letter, int]:
-        return {let: i for i, let in enumerate(self.ordered_letters)}
-
-    def gen(self, name: str) -> Generator:
+    def code(self, name: str) -> int:
+        """The letter code of generator ``name``: its position, counted from 1."""
         try:
-            return self._by_name[name]
+            return self._codes[name]
         except KeyError:
             raise ValueError(f"unknown generator: {name!r}") from None
 
+    def gen(self, name: str) -> Generator:
+        return self.generators[self.code(name) - 1]
+
     def letter_rank(self, letter: Letter) -> int:
-        return self._letter_rank[letter]
+        return self.ordered_letters.index(letter)
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
@@ -97,48 +95,75 @@ class Alphabet:
         return parse_word(self, text)
 
     def empty_word(self) -> "Word":
-        return Word(self, ())
+        return _word(self, ())
 
     def gen_word(self, name: str) -> "Word":
-        return Word(self, (Letter(self.gen(name), 1),))
+        return _word(self, (self.code(name),))
 
     def __contains__(self, gen: Generator) -> bool:
-        return self._by_name.get(gen.name) == gen
+        code = self._codes.get(gen.name)
+        return code is not None and self.generators[code - 1] == gen
 
     def __len__(self) -> int:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word over a fixed alphabet, stored freely reduced.
+def _rank(code: int) -> int:
+    """Position of a letter code in the order 1, -1, 2, -2, ... (ordered_letters)."""
+    return 2 * code - 2 if code > 0 else -2 * code - 1
 
-    Construction validates every letter and reduces, so any ``Word`` in hand
-    is in normal form; raw letter sequences exist only transiently inside
-    parsers and constructors.
+
+class Word:
+    """A word over a fixed alphabet, stored freely reduced as letter codes.
+
+    ``codes`` holds +-(i + 1) for generator i of the word's own alphabet or
+    its inverse.  ``Word(alphabet, letters)`` validates ``Letter``s and
+    reduces; every other word is built from words already valid.  Equality
+    compares alphabet and codes; the hash is that of the codes.
     """
 
-    alphabet: Alphabet
-    letters: tuple[Letter, ...]
+    __slots__ = ("alphabet", "codes")
 
-    def __post_init__(self):
-        for let in self.letters:
+    def __init__(self, alphabet: Alphabet, letters: Iterable[Letter]):
+        codes = []
+        for let in letters:
             if let.sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {let.sign}")
-            if let.gen not in self.alphabet:
+            if let.gen not in alphabet:
                 raise ValueError(f"letter {let.gen.name!r} is not in the alphabet")
-        object.__setattr__(self, "letters", _reduce(self.letters))
+            codes.append(alphabet.code(let.gen.name) * let.sign)
+        _set_alphabet(self, alphabet)
+        _set_codes(self, _reduce(codes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return _word, (self.alphabet, self.codes)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The codes as ``Letter``s, for tests and scripts; no hot path reads it."""
+        ordered = self.alphabet.ordered_letters
+        return tuple(ordered[_rank(c)] for c in self.codes)
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.codes
 
     def shortlex_key(self) -> tuple:
-        rank = self.alphabet.letter_rank
-        return (len(self.letters), tuple(rank(let) for let in self.letters))
+        return (len(self.codes), tuple(map(_rank, self.codes)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.codes == other.codes and self.alphabet == other.alphabet
+
+    def __hash__(self) -> int:
+        return hash(self.codes)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
@@ -147,12 +172,8 @@ class Word:
         return invert(self)
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return invert(self) ** (-k)
-        out = Word(self.alphabet, ())
-        for _ in range(k):
-            out = concat(out, self)
-        return out
+        codes = self.codes if k >= 0 else _inverse(self.codes)
+        return _word(self.alphabet, codes * abs(k))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -161,37 +182,54 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-def _reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for let in letters:
-        if out and out[-1] == let.inverse():
-            out.pop()
+_set_alphabet = Word.alphabet.__set__
+_set_codes = Word.codes.__set__
+
+
+def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
+    out: list[int] = []
+    push, pop = out.append, out.pop
+    for c in codes:
+        if out and out[-1] == -c:
+            pop()
         else:
-            out.append(let)
+            push(c)
     return tuple(out)
 
 
+def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-c for c in reversed(codes))
+
+
+def _word(alphabet: Alphabet, codes: Iterable[int]) -> Word:
+    """Trusted constructor: ``codes`` are valid for ``alphabet``; reduces them once."""
+    w = object.__new__(Word)
+    _set_alphabet(w, alphabet)
+    _set_codes(w, _reduce(codes))
+    return w
+
+
 def free_reduce(w: Word) -> Word:
-    """Return the unique freely reduced form of ``w``."""
-    return Word(w.alphabet, w.letters)
+    """Return the unique freely reduced form of ``w`` (every ``Word`` is stored so)."""
+    return w
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple(let.inverse() for let in reversed(w.letters)))
+    return _word(w.alphabet, _inverse(w.codes))
 
 
 def concat(u: Word, v: Word) -> Word:
     """Concatenate two words over the same alphabet and reduce."""
     if u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    return Word(u.alphabet, u.letters + v.letters)
+    return _word(u.alphabet, u.codes + v.codes)
 
 
 def commutator(u: Word, v: Word) -> Word:
     """Return the reduced commutator u v u^-1 v^-1."""
     if u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    return concat(concat(u, v), concat(invert(u), invert(v)))
+    return _word(u.alphabet, u.codes + v.codes + _inverse(u.codes) + _inverse(v.codes))
 
 
 class WordParseError(ValueError):
@@ -206,7 +244,7 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
     The empty string denotes the empty word.  ``offset`` shifts reported error
     positions, for callers embedding word syntax in a larger grammar.
     """
-    letters: list[Letter] = []
+    codes: list[int] = []
     for tok in re.finditer(r"\S+", text):
         token, pos = tok.group(), offset + tok.start()
         if "^" in token:
@@ -220,49 +258,67 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
         else:
             name, k = token, 1
         try:
-            gen = alphabet.gen(name)
+            code = alphabet.code(name)
         except ValueError:
             raise WordParseError(f"unknown generator {name!r}", pos) from None
-        sign = 1 if k > 0 else -1
-        letters.extend([Letter(gen, sign)] * abs(k))
-    return Word(alphabet, tuple(letters))
+        codes.extend([code if k > 0 else -code] * abs(k))
+    return _word(alphabet, codes)
 
 
 def format_word(w: Word) -> str:
     """Render a word as run-grouped text; the empty word renders as ''."""
+    gens = w.alphabet.generators
     parts: list[str] = []
-    i, letters = 0, w.letters
-    while i < len(letters):
+    i, codes = 0, w.codes
+    while i < len(codes):
         j = i
-        while j < len(letters) and letters[j] == letters[i]:
+        while j < len(codes) and codes[j] == codes[i]:
             j += 1
-        exp = (j - i) * letters[i].sign
-        parts.append(letters[i].gen.name if exp == 1 else f"{letters[i].gen.name}^{exp}")
+        name = gens[abs(codes[i]) - 1].name
+        exp = j - i if codes[i] > 0 else i - j
+        parts.append(name if exp == 1 else f"{name}^{exp}")
         i = j
     return " ".join(parts)
 
 
-def shortlex_stream(alphabet: Alphabet) -> Iterator[Word]:
-    """Yield every reduced word over the alphabet exactly once, in shortlex order.
+class ShortlexWords:
+    """The reduced words over one alphabet in shortlex order, with random access.
 
     The letter order is the alphabet's declaration order with each generator
-    immediately followed by its inverse.  Words come out sorted by length,
-    ties broken lexicographically, so the stream is reproducible byte for
-    byte.  Memory grows with the current word length.
+    immediately followed by its inverse.  Words come sorted by length, ties
+    broken lexicographically, so the order is reproducible byte for byte.
+    Each length is built on first use and kept, so memory grows with the
+    longest length visited; every stream or table owns its own instance.
     """
-    letters = alphabet.ordered_letters
-    level: list[tuple[Letter, ...]] = [()]
-    while True:
-        for seq in level:
-            yield Word(alphabet, seq)
-        nxt = []
-        for seq in level:
-            last = seq[-1] if seq else None
-            for let in letters:
-                if last is not None and let == last.inverse():
-                    continue
-                nxt.append(seq + (let,))
-        level = nxt
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+        self._order = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+        self._levels: list[list[Word]] = [[_word(alphabet, ())]]
+
+    def of_length(self, n: int) -> list[Word]:
+        """Every reduced word of length ``n``, in shortlex order."""
+        while len(self._levels) <= n:
+            self._levels.append([
+                _word(self.alphabet, w.codes + (c,))
+                for w in self._levels[-1]
+                for c in self._order
+                if not w.codes or c != -w.codes[-1]
+            ])
+        return self._levels[n]
+
+    def __getitem__(self, i: int) -> Word:
+        """The word at position ``i`` (from 0) of the shortlex order."""
+        for n in itertools.count():
+            level = self.of_length(n)
+            if i < len(level):
+                return level[i]
+            i -= len(level)
+
+
+def shortlex_stream(alphabet: Alphabet) -> Iterator[Word]:
+    """Yield every reduced word over the alphabet exactly once, in shortlex order."""
+    return itertools.chain.from_iterable(map(ShortlexWords(alphabet).of_length, itertools.count()))
 
 
 @dataclass(frozen=True)
@@ -286,15 +342,10 @@ class GeneratorMap:
             if img.alphabet != self.codomain:
                 raise ValueError("image word is not over the codomain alphabet")
 
-    @cached_property
-    def _img_by_gen(self) -> dict[Generator, Word]:
-        return dict(zip(self.domain.generators, self.images))
-
     def image(self, gen: Generator) -> Word:
-        try:
-            return self._img_by_gen[gen]
-        except KeyError:
-            raise ValueError(f"unmapped generator: {gen.name!r}") from None
+        if gen not in self.domain:
+            raise ValueError(f"unmapped generator: {gen.name!r}")
+        return self.images[self.domain.code(gen.name) - 1]
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "GeneratorMap":
@@ -333,8 +384,10 @@ def substitute(w: Word, m: GeneratorMap) -> Word:
     """Replace every letter of ``w`` by its image under ``m`` and reduce."""
     if w.alphabet != m.domain:
         raise ValueError("word alphabet does not match map domain (unmapped generator)")
-    pieces: list[Letter] = []
-    for let in w.letters:
-        img = m.image(let.gen)
-        pieces.extend(img.letters if let.sign == 1 else invert(img).letters)
-    return Word(m.codomain, _reduce(tuple(pieces)))
+    images = {}
+    for i, img in enumerate(m.images, 1):
+        images[i], images[-i] = img.codes, _inverse(img.codes)
+    pieces: list[int] = []
+    for c in w.codes:
+        pieces += images[c]
+    return _word(m.codomain, pieces)

@@ -282,6 +282,12 @@ def test_kernel_truth_table(i, j):
     assert bs_is_trivial(BS23, word) == (j <= i)
 
 
+def test_kernel_stream_rejects_negative_iterate_when_called():
+    # the error comes from the call itself, before any word is requested
+    with pytest.raises(ValueError):
+        kernel_stream(-1)
+
+
 def test_kernel_stream_level_zero():
     first = list(itertools.islice(kernel_stream(0), 40))
     assert first[0].is_identity

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +278,32 @@ def test_tietze_check_invalid(capsys):
     code, out, _ = run(capsys, "tietze-check", "-p", "< x | >", "--move", move)
     assert code == EXIT_DOMAIN
     assert out.startswith("invalid:")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", "[{}]"), "conj"),
+        (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", "[1]"), "factor 0"),
+        (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", '{"a":1}'), "list"),
+        (("tietze-check", "-p", "< x | x^2 >", "--move", '{"op":"add_rel"}'), "word"),
+        (("tietze-check", "-p", "< x, y | y x^-1 >", "--move", '{"op":"rem_gen","name":"y"}'), "index"),
+    ],
+    ids=["cert-factor-missing-conj", "cert-factor-not-object", "cert-not-list",
+         "add-rel-missing-word", "rem-gen-missing-index"],
+)
+def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == EXIT_DOMAIN
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert field in proc.stderr
 
 
 # ---------------------------------------------------------------- harness and demos

@@ -1,0 +1,76 @@
+"""The certificate stream's emission order is a contract.
+
+Budgets everywhere in fpw count emissions of ``trivial_word_stream``, and the
+pinned results ("proved in 744 steps", the iso-search pair indices) depend on
+its exact order.  These digests were recorded from the original
+``Letter``-based word kernel; any change to the stream or to the word kernel
+under it must reproduce them byte for byte.
+"""
+
+import hashlib
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st_
+
+from fpw.presentations import (
+    EMPTY_RELATOR_INDEX,
+    CertFactor,
+    TrivialityCertificate,
+    certificate_word,
+    parse_presentation,
+    trivial_word_stream,
+)
+from fpw.words import format_word, invert, parse_word
+
+EMISSIONS = 50_000
+
+DIGESTS = {
+    "< s, t | s^-1 t^2 s t^-3 >": "96ed63455bca59a0b2a740950a85f1680a4a2376b4779234bd18e241308ab700",
+    "< x | x^2 >": "b565b25c985f7c60f80120cf5df4685d0adb5c97a61bdc9bff82dfd26cafd63b",
+    "< a, b | a^3, a b a^-1 b^-1 >": "fb77c3fbc0b0bcab60fd42393224544f232455b91e490be58e0be738bf69bf72",
+}
+
+
+@pytest.mark.parametrize("text", list(DIGESTS))
+def test_first_emissions_digest(text):
+    digest = hashlib.sha256()
+    for word, cert in itertools.islice(trivial_word_stream(parse_presentation(text)), EMISSIONS):
+        digest.update(f"{format_word(word)}\t{json.dumps(cert.to_json())}\n".encode())
+    assert digest.hexdigest() == DIGESTS[text]
+
+
+# ---------------------------------------------------------------- certificate evaluation
+
+THREE_RELATORS = parse_presentation("< a, b | a^3, a b a^-1 b^-1, b^2 a >")
+_ALPHA = THREE_RELATORS.generators
+
+factors = st_.lists(
+    st_.tuples(
+        st_.lists(st_.sampled_from(["a", "a^-1", "b", "b^-1"]), max_size=6),
+        st_.sampled_from([EMPTY_RELATOR_INDEX, 0, 1, 2]),
+        st_.sampled_from([1, -1]),
+    ),
+    max_size=8,
+)
+
+
+def _factor_by_factor(pres, cert):
+    """Reference evaluator: multiply the factors in one at a time."""
+    out = pres.generators.empty_word()
+    for c, i, e in cert.factors:
+        if i == EMPTY_RELATOR_INDEX:
+            continue
+        r = pres.relators[i] if e == 1 else invert(pres.relators[i])
+        out = out * c * r * invert(c)
+    return out
+
+
+@settings(max_examples=200)
+@given(factors)
+def test_certificate_word_matches_factor_by_factor_product(spec):
+    cert = TrivialityCertificate(
+        tuple(CertFactor(parse_word(_ALPHA, " ".join(c)), i, e) for c, i, e in spec)
+    )
+    assert certificate_word(THREE_RELATORS, cert) == _factor_by_factor(THREE_RELATORS, cert)

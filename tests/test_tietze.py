@@ -184,6 +184,18 @@ def test_remove_generator_substitutes_into_other_relators():
     assert result.relators[0].is_identity
 
 
+def test_remove_first_generator_reencodes_the_rest():
+    pres = parse_presentation("< a, b, c | a c^-1 b, b c a^2 >")
+    result = apply_move(pres, RemoveGenerator("a", 0))
+    assert result.format() == "< b, c | b c b^-1 c b^-1 c >"
+
+
+def test_remove_middle_generator_reencodes_the_rest():
+    pres = parse_presentation("< a, b, c | b a c^-1, a b c >")
+    result = apply_move(pres, RemoveGenerator("b", 0))
+    assert result.format() == "< a, c | a c a^-1 c >"
+
+
 # ---------------------------------------------------------------- sequences and logs
 
 

@@ -242,6 +242,93 @@ def _naive_reduce(letters):
     return tuple(out)
 
 
+def _ref_invert(letters):
+    return tuple(let.inverse() for let in reversed(letters))
+
+
+def _ref_substitute(letters, images):
+    """Reference substitution: ``images`` maps each generator to image letters."""
+    out = []
+    for let in letters:
+        img = images[let.gen]
+        out.extend(img if let.sign == 1 else _ref_invert(img))
+    return _naive_reduce(out)
+
+
+def _ref_shortlex_key(alphabet, letters):
+    return (len(letters), tuple(alphabet.ordered_letters.index(let) for let in letters))
+
+
+def _ref_format(letters):
+    parts = []
+    for let, run in itertools.groupby(letters):
+        exp = len(list(run)) * let.sign
+        parts.append(let.gen.name if exp == 1 else f"{let.gen.name}^{exp}")
+    return " ".join(parts)
+
+
+ABC = Alphabet.of("a", "b", "c")
+letters_abc = st_.lists(
+    st_.tuples(st_.sampled_from(["a", "b", "c"]), st_.sampled_from([1, -1])), max_size=30
+)
+
+
+def _raw_abc(pairs):
+    return tuple(Letter(ABC.gen(name), sign) for name, sign in pairs)
+
+
+@given(letters_abc)
+def test_kernel_reduce_matches_reference(pairs):
+    raw = _raw_abc(pairs)
+    word = Word(ABC, raw)
+    assert word.letters == _naive_reduce(raw)
+    assert len(word) == len(word.letters)
+    assert word.is_identity == (not word.letters)
+
+
+@given(letters_abc, letters_abc)
+def test_kernel_concat_and_invert_match_reference(p1, p2):
+    u, v = Word(ABC, _raw_abc(p1)), Word(ABC, _raw_abc(p2))
+    assert concat(u, v).letters == _naive_reduce(u.letters + v.letters)
+    assert invert(u).letters == _ref_invert(u.letters)
+    assert (u ** 3).letters == _naive_reduce(u.letters * 3)
+    assert (u ** -2).letters == _naive_reduce(_ref_invert(u.letters) * 2)
+
+
+@given(letters_abc, letters_abc, letters_abc, letters_st)
+def test_kernel_substitute_matches_reference(pa, pb, pc, pairs):
+    # a map from s,t into a,b,c and one from a,b,c onto itself
+    down = GeneratorMap(ST, ABC, (Word(ABC, _raw_abc(pa)), Word(ABC, _raw_abc(pb))))
+    word = Word(ST, _raw(pairs))
+    images = {g: img.letters for g, img in zip(ST.generators, down.images)}
+    assert substitute(word, down).letters == _ref_substitute(word.letters, images)
+    self_map = GeneratorMap(ABC, ABC, tuple(Word(ABC, _raw_abc(p)) for p in (pa, pb, pc)))
+    u = substitute(word, down)
+    images = {g: img.letters for g, img in zip(ABC.generators, self_map.images)}
+    assert substitute(u, self_map).letters == _ref_substitute(u.letters, images)
+
+
+@given(letters_abc)
+def test_kernel_shortlex_key_and_format_match_reference(pairs):
+    word = Word(ABC, _raw_abc(pairs))
+    assert word.shortlex_key() == _ref_shortlex_key(ABC, word.letters)
+    assert format_word(word) == _ref_format(word.letters)
+    assert parse_word(ABC, format_word(word)) == word
+
+
+def test_kernel_shortlex_stream_matches_sorted_reference():
+    # every reduced word of length <= 3, sorted by the reference key
+    words = [
+        letters
+        for n in range(4)
+        for letters in itertools.product(ABC.ordered_letters, repeat=n)
+        if _naive_reduce(letters) == letters
+    ]
+    words.sort(key=lambda letters: _ref_shortlex_key(ABC, letters))
+    got = [word.letters for word in itertools.islice(shortlex_stream(ABC), len(words))]
+    assert got == words
+
+
 @given(letters_st)
 def test_reduction_matches_naive_oracle(pairs):
     raw = _raw(pairs)
