@@ -9,15 +9,14 @@ import argparse
 import itertools
 import time
 
-from fpw.bs import BS23, ST, apply_f, bs_is_trivial, kernel_stream
+from fpw.bs import ST, kernel_stream
+from fpw.harness import tower_oracle
 from fpw.words import format_word, shortlex_stream
 
 
 def density(level: int, scan: int) -> tuple[int, int]:
-    hits = 0
-    for w in itertools.islice(shortlex_stream(ST), scan):
-        if bs_is_trivial(BS23, apply_f(w, level)):
-            hits += 1
+    oracle = tower_oracle(level)
+    hits = sum(1 for w in itertools.islice(shortlex_stream(ST), scan) if oracle(w))
     return hits, scan
 
 

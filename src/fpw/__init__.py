@@ -57,6 +57,7 @@ from .bs import (
     britton_reduce_counted,
     doubling_map,
     f_preimage_witnesses,
+    in_kernel,
     kernel_stream,
     w_family,
 )

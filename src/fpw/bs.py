@@ -1,8 +1,8 @@
 """The groups BS(m,n) = < s, t | s^-1 t^m s = t^n > and their word problem.
 
 Words are carried in syllable form t^{a0} s^{e1} t^{a1} ... s^{ek} t^{ak}
-with arbitrary-precision t-exponents.  Britton reduction repeatedly rewrites
-pinches, leftmost first:
+with arbitrary-precision t-exponents.  Britton reduction rewrites pinches,
+leftmost first, in one left-to-right stack pass:
 
     s^-1 t^k s  ->  t^(k n / m)   when m | k
     s    t^k s^-1 -> t^(k m / n)  when n | k
@@ -18,12 +18,12 @@ from typing import Iterator
 
 from .presentations import FinitePresentation
 from .words import (
+    MAX_WORD_LETTERS,
     Alphabet,
     GeneratorMap,
     Word,
     _word,
     commutator,
-    free_reduce,
     invert,
     shortlex_stream,
     substitute,
@@ -64,9 +64,9 @@ class SyllableWord:
             raise ValueError("need exactly one more t-run than s-letters")
         if any(e not in (1, -1) for e in self.s_signs):
             raise ValueError("s-letter signs must be +1 or -1")
-        runs, signs = _normalize(list(self.t_runs), list(self.s_signs))
-        object.__setattr__(self, "t_runs", tuple(runs))
-        object.__setattr__(self, "s_signs", tuple(signs))
+        runs, signs, _ = _pinch(self.t_runs, self.s_signs, 0, 0)
+        object.__setattr__(self, "t_runs", runs)
+        object.__setattr__(self, "s_signs", signs)
 
     @property
     def s_count(self) -> int:
@@ -87,17 +87,26 @@ class SyllableWord:
         return self.format()
 
 
-def _normalize(runs: list[int], signs: list[int]) -> tuple[list[int], list[int]]:
-    i = 0
-    while i < len(signs) - 1:
-        if runs[i + 1] == 0 and signs[i] == -signs[i + 1]:
-            runs[i] = runs[i] + runs[i + 2]
-            del runs[i + 1 : i + 3]
-            del signs[i : i + 2]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return runs, signs
+def _pinch(runs, signs, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Rewrite the pinches of BS(m,n), leftmost first, in one stack pass; count them.
+
+    The stack holds no pinch, so a pushed s-letter can only close the leftmost
+    one, with the stack top.  With m = n = 0 only zero runs pinch: free cancellation.
+    """
+    out_runs, out_signs, pinches = [runs[0]], [], 0
+    for e, a in zip(signs, runs[1:]):
+        if out_signs and out_signs[-1] == -e:
+            k = out_runs[-1]
+            div, mul = (m, n) if e == 1 else (n, m)
+            if k == 0 or div and k % div == 0:
+                out_signs.pop()
+                out_runs.pop()
+                out_runs[-1] += (k // div * mul if k else 0) + a
+                pinches += 1
+                continue
+        out_signs.append(e)
+        out_runs.append(a)
+    return tuple(out_runs), tuple(out_signs), pinches
 
 
 def to_syllables(w: Word) -> SyllableWord:
@@ -133,26 +142,8 @@ def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int
     the count always equals (initial s-count - final s-count) / 2.
     """
     sw = to_syllables(w)
-    runs, signs = list(sw.t_runs), list(sw.s_signs)
-    m, n = params.m, params.n
-    pinches = 0
-    while True:
-        site = None
-        for i in range(len(signs) - 1):
-            k = runs[i + 1]
-            if signs[i] == -1 and signs[i + 1] == 1 and k % m == 0:
-                site, scaled = i, k * n // m
-                break
-            if signs[i] == 1 and signs[i + 1] == -1 and k % n == 0:
-                site, scaled = i, k * m // n
-                break
-        if site is None:
-            break
-        runs[site] = runs[site] + scaled + runs[site + 2]
-        del runs[site + 1 : site + 3]
-        del signs[site : site + 2]
-        pinches += 1
-    return SyllableWord(tuple(runs), tuple(signs)), pinches
+    runs, signs, pinches = _pinch(sw.t_runs, sw.s_signs, params.m, params.n)
+    return SyllableWord(runs, signs), pinches
 
 
 def britton_reduce(params: BSParams, w: Word) -> SyllableWord:
@@ -184,25 +175,48 @@ def doubling_map() -> GeneratorMap:
     return GeneratorMap.parse(ST, ST, "s=s,t=t^2")
 
 
-def apply_f(w: Word, i: int) -> Word:
-    """Apply the doubling substitution i times: s -> s, t -> t^(2^i)."""
+def _doubled(w: Word, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The runs and signs of f^i(w): f^i fixes s and multiplies every t-run by 2^i."""
     if i < 0:
         raise ValueError("iterate must be >= 0")
-    if i == 0:
-        return free_reduce(w)
-    step = GeneratorMap(ST, ST, (ST.gen_word("s"), ST.word(f"t^{2 ** i}")))
-    return substitute(w, step)
+    if w.alphabet != ST:
+        raise ValueError("word is not over the alphabet {s, t}")
+    sw = to_syllables(w)
+    return tuple(a << i for a in sw.t_runs), sw.s_signs
+
+
+def apply_f(w: Word, i: int) -> Word:
+    """Apply the doubling substitution i times: s -> s, t -> t^(2^i).
+
+    Raises ValueError, before spelling out, past MAX_WORD_LETTERS letters.
+    """
+    # scaling by 2^min(i, cap's bit length) gives f^i(w) exactly or puts one t over the cap
+    runs, signs = _doubled(w, min(i, MAX_WORD_LETTERS.bit_length()))
+    if len(signs) + sum(map(abs, runs)) > MAX_WORD_LETTERS:
+        raise ValueError(f"f^{i}(w) would have more than {MAX_WORD_LETTERS} letters")
+    return from_syllables(SyllableWord(runs, signs))
+
+
+def in_kernel(w: Word, i: int) -> bool:
+    """Whether f^i(w) is trivial in BS(2,3), decided on the scaled t-runs."""
+    return _pinch(*_doubled(w, i), BS23.m, BS23.n)[0] == (0,)
+
+
+def f_preimage_witnesses() -> GeneratorMap:
+    """Generator-wise preimages under the doubling map in BS(2,3):
+    s pulls back to s and t pulls back to s^-1 t s t^-1."""
+    return GeneratorMap.parse(ST, ST, "s=s,t=s^-1 t s t^-1")
 
 
 def w_family(i: int) -> Word:
     """The witness words: w_0 is empty, w_1 = [s^-1 t s, t], and each later
-    w_i substitutes s -> s, t -> [s^-1, t] into its predecessor."""
+    w_i substitutes the preimage witnesses into its predecessor."""
     if i < 0:
         raise ValueError("index must be >= 0")
     if i == 0:
         return ST.empty_word()
     w = commutator(ST.word("s^-1 t s"), ST.word("t"))
-    shrink = GeneratorMap.parse(ST, ST, "s=s,t=s^-1 t s t^-1")
+    shrink = f_preimage_witnesses()
     for _ in range(i - 1):
         w = substitute(w, shrink)
     return w
@@ -211,16 +225,10 @@ def w_family(i: int) -> Word:
 def kernel_stream(iterate: int) -> Iterator[Word]:
     """Shortlex enumeration of the words killed by the i-fold doubling map.
 
-    Emits exactly those reduced words w over {s, t} for which apply_f(w, i)
-    is trivial in BS(2,3), in shortlex order.  A negative iterate raises
-    here, not at the first ``next``.
+    Emits exactly those reduced words w over {s, t} for which f^i(w) is
+    trivial in BS(2,3), in shortlex order.  A negative iterate raises here,
+    not at the first ``next``.
     """
     if iterate < 0:
         raise ValueError("iterate must be >= 0")
-    return (w for w in shortlex_stream(ST) if bs_is_trivial(BS23, apply_f(w, iterate)))
-
-
-def f_preimage_witnesses() -> GeneratorMap:
-    """Generator-wise preimages under the doubling map in BS(2,3):
-    s pulls back to s and t pulls back to s^-1 t s t^-1."""
-    return GeneratorMap.parse(ST, ST, "s=s,t=s^-1 t s t^-1")
+    return (w for w in shortlex_stream(ST) if in_kernel(w, iterate))

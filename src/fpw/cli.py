@@ -73,7 +73,6 @@ from .words import (
     GeneratorMap,
     WordParseError,
     format_word,
-    free_reduce,
     parse_word,
     substitute,
 )
@@ -125,7 +124,7 @@ def _print_json(payload) -> None:
 def _cmd_reduce(args) -> int:
     alpha = _alphabet(args.alphabet)
     w = parse_word(alpha, args.word)
-    print(format_word(free_reduce(w)))
+    print(format_word(w))
     return EXIT_OK
 
 

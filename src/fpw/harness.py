@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .bs import BS23, ST, apply_f, bs_is_trivial, bs_presentation, kernel_stream, w_family
+from .bs import BS23, ST, bs_presentation, in_kernel, kernel_stream, w_family
 from .presentations import RecursivePresentation
 from .words import Word
 
@@ -115,11 +115,7 @@ def tower_oracle(k: int) -> Callable[[Word], bool]:
     """
     if k < 0:
         raise ValueError("tower level must be >= 0")
-
-    def oracle(w: Word) -> bool:
-        return bs_is_trivial(BS23, apply_f(w, k))
-
-    return oracle
+    return lambda w: in_kernel(w, k)
 
 
 def quotient_tower_presentation(W: ExplicitFiniteSet) -> RecursivePresentation:

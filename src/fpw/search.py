@@ -100,6 +100,8 @@ def semidecide_homomorphism(
     A single enumeration of ``cod``'s certificate stream is matched against
     all relator images at once; the budget caps its emissions.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if phi.domain != dom.generators or phi.codomain != cod.generators:
         raise ValueError("map endpoints do not match the presentations")
     targets = [substitute(r, phi) for r in dom.relators]

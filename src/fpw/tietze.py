@@ -323,6 +323,8 @@ def check_move(
     certificate found, and running out of budget returns Unverifiable rather
     than a verdict.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if isinstance(move, AddRelator) and move.certificate is None:
         if move.word.alphabet != pres.generators:
             return Invalid("relator is not a word over the presentation's generators")

@@ -17,6 +17,10 @@ from typing import Iterable, Iterator, NamedTuple
 # characters that would collide with the word / presentation / map grammars
 _FORBIDDEN_CHARS = set("^,|<>=")
 
+# The most letters a parsed word or a spelled-out doubling image may have;
+# about 30 times the largest word any test or benchmark task builds.
+MAX_WORD_LETTERS = 2**20
+
 
 def _valid_name(name: str) -> bool:
     if not name or not name.isascii():
@@ -242,7 +246,8 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
     """Parse whitespace-separated letters ``name`` or ``name^k`` (k nonzero).
 
     The empty string denotes the empty word.  ``offset`` shifts reported error
-    positions, for callers embedding word syntax in a larger grammar.
+    positions, for callers embedding word syntax in a larger grammar.  More
+    than ``MAX_WORD_LETTERS`` letters before reduction is an error.
     """
     codes: list[int] = []
     for tok in re.finditer(r"\S+", text):
@@ -261,6 +266,8 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
             code = alphabet.code(name)
         except ValueError:
             raise WordParseError(f"unknown generator {name!r}", pos) from None
+        if len(codes) + abs(k) > MAX_WORD_LETTERS:
+            raise WordParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
         codes.extend([code if k > 0 else -code] * abs(k))
     return _word(alphabet, codes)
 

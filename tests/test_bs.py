@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st_
+from hypothesis import example, given, settings, strategies as st_
 
 from fpw.bs import (
     ST,
@@ -20,9 +20,11 @@ from fpw.bs import (
     from_syllables,
     kernel_stream,
     to_syllables,
+    in_kernel,
     w_family,
 )
-from fpw.words import Alphabet, parse_word, substitute
+from fpw.harness import tower_oracle
+from fpw.words import MAX_WORD_LETTERS, Alphabet, ShortlexWords, parse_word, substitute
 
 from conftest import w
 
@@ -132,6 +134,84 @@ def test_britton_reduce_rejects_foreign_alphabet():
         britton_reduce(BS23, parse_word(Alphabet.of("x"), "x"))
 
 
+# The leftmost-first rewriting that the stack pass replaced, kept as the
+# reference: free cancellation first, then restart from the left after every
+# pinch.
+
+
+def _reference_normalize(runs, signs):
+    i = 0
+    while i < len(signs) - 1:
+        if runs[i + 1] == 0 and signs[i] == -signs[i + 1]:
+            runs[i] = runs[i] + runs[i + 2]
+            del runs[i + 1 : i + 3]
+            del signs[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return runs, signs
+
+
+def _reference_britton(params, runs, signs):
+    runs, signs = _reference_normalize(list(runs), list(signs))
+    m, n = params.m, params.n
+    pinches = 0
+    while True:
+        site = None
+        for i in range(len(signs) - 1):
+            k = runs[i + 1]
+            if signs[i] == -1 and signs[i + 1] == 1 and k % m == 0:
+                site, scaled = i, k * n // m
+                break
+            if signs[i] == 1 and signs[i + 1] == -1 and k % n == 0:
+                site, scaled = i, k * m // n
+                break
+        if site is None:
+            break
+        runs[site] = runs[site] + scaled + runs[site + 2]
+        del runs[site + 1 : site + 3]
+        del signs[site : site + 2]
+        pinches += 1
+    return tuple(runs), tuple(signs), pinches
+
+
+# small multiples of 2 and 3 make pinches, and pinches that cancel to zero runs, frequent
+_RUNS = st_.one_of(st_.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6]), st_.integers(-12, 12))
+_SYLLABLES = st_.lists(st_.tuples(st_.sampled_from([1, -1]), _RUNS), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st_.sampled_from([(2, 3), (1, 1), (1, 2), (2, 4), (3, 3), (3, 2)]),
+    _RUNS,
+    _SYLLABLES,
+)
+@example((2, 3), 0, [(-1, 1), (-1, 2), (1, -4), (1, 0)])  # a pinch leaves a zero run that pinches
+def test_stack_pass_matches_leftmost_first_reference(mn, head, syllables):
+    params = BSParams(*mn)
+    parts = [f"t^{head}"] if head else []
+    for e, a in syllables:
+        parts += [f"s^{e}", f"t^{a}"] if a else [f"s^{e}"]
+    word = w(" ".join(parts))
+    raw = to_syllables(word)
+    reduced, pinches = britton_reduce_counted(params, word)
+    expected = _reference_britton(params, raw.t_runs, raw.s_signs)
+    assert (reduced.t_runs, reduced.s_signs, pinches) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st_.integers(-3, 3),
+    st_.lists(st_.tuples(st_.sampled_from([1, -1]), st_.integers(-2, 2)), max_size=20),
+)
+def test_syllable_normalization_matches_reference(head, syllables):
+    # zero runs between opposite signs are common here, unlike in words
+    runs = (head,) + tuple(a for _, a in syllables)
+    signs = tuple(e for e, _ in syllables)
+    sw = SyllableWord(runs, signs)
+    assert (list(sw.t_runs), list(sw.s_signs)) == _reference_normalize(list(runs), list(signs))
+
+
 # ---------------------------------------------------------------- triviality and equality
 
 
@@ -220,6 +300,37 @@ def test_apply_f_rejects_negative_iterate():
         apply_f(w("t"), -1)
 
 
+@pytest.mark.parametrize("i", [0, 1, 5])
+def test_doubling_rejects_words_not_over_st(i):
+    word = parse_word(Alphabet.of("t"), "t")
+    with pytest.raises(ValueError):
+        apply_f(word, i)
+    with pytest.raises(ValueError):
+        tower_oracle(i)(word)
+
+
+def test_apply_f_caps_the_image_length():
+    assert len(apply_f(w("t"), 20)) == MAX_WORD_LETTERS
+    with pytest.raises(ValueError):
+        apply_f(w("s t"), 20)
+    with pytest.raises(ValueError):
+        apply_f(w("t"), 10**12)  # refused without forming 2^(10^12)
+    assert apply_f(w("s^3"), 10**12) == w("s^3")
+
+
+def test_syllable_kernel_predicate_matches_spelled_out_images():
+    # levels 0..6 over the first 3000 shortlex words, against f^i(w) spelled
+    # out by iterated substitution and decided by Britton reduction
+    f = doubling_map()
+    words = ShortlexWords(ST)
+    for index in range(3000):
+        word = image = words[index]
+        for i in range(7):
+            assert apply_f(word, i) == image
+            assert in_kernel(word, i) == bs_is_trivial(BS23, image)
+            image = substitute(image, f)
+
+
 def test_doubling_map_is_surjective_on_generators():
     # s has the obvious preimage; t is hit by s^-1 t s t^-1 (a pinch shows it)
     f = doubling_map()
@@ -280,6 +391,12 @@ def test_kernel_truth_table(i, j):
     # w_j dies under the i-fold doubling map exactly when j <= i
     word = apply_f(w_family(j), i)
     assert bs_is_trivial(BS23, word) == (j <= i)
+
+
+def test_tower_oracle_levels_on_the_witness_family():
+    # w_j dies at level j, and the oracle does not spell out f^64(w_j)
+    assert all(tower_oracle(64)(w_family(j)) for j in range(7))
+    assert not any(tower_oracle(3)(w_family(j)) for j in range(4, 7))
 
 
 def test_kernel_stream_rejects_negative_iterate_when_called():

@@ -296,6 +296,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
          "add-rel-missing-word", "rem-gen-missing-index"],
 )
 def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field):
+    _assert_domain_error(argv, field)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("hom-check", "-p", "< x | x^2 >", "-q", "< x | x^2 >", "--map", "x=x", "--budget", "-1"),
+         "budget must be >= 0"),
+        (("tietze-check", "-p", "< x | x^2, x^4 >", "--move", '{"op":"rem_rel","index":1}',
+          "--budget", "-1"), "budget must be >= 0"),
+        (("demo", "non-hopfian", "--budget", "-1"), "budget must be >= 0"),
+        (("apply-f", "t", "-i", "64"), "more than 1048576 letters"),
+        (("bs-triv", "t^100000000000000000000"), "longer than 1048576 letters at position 0"),
+        (("reduce", "x^-100000000000000000000", "--alphabet", "x"), "longer than 1048576 letters"),
+    ],
+    ids=["hom-check-budget", "tietze-check-budget", "demo-budget", "apply-f-huge-iterate",
+         "bs-triv-huge-exponent", "reduce-huge-exponent"],
+)
+def test_out_of_range_input_is_a_domain_error_not_a_traceback(argv, message):
+    # the word-length cap must reject these before allocating anything
+    _assert_domain_error(argv, message)
+
+
+def _assert_domain_error(argv, message):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=60
@@ -303,7 +327,7 @@ def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field):
     assert proc.returncode == EXIT_DOMAIN
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
-    assert field in proc.stderr
+    assert message in proc.stderr
 
 
 # ---------------------------------------------------------------- harness and demos

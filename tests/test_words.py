@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st_
 
 from fpw.words import (
+    MAX_WORD_LETTERS,
     Alphabet,
     Generator,
     GeneratorMap,
@@ -122,6 +123,18 @@ def test_parse_word_errors_carry_positions():
         parse_word(ST, "t^x")
     with pytest.raises(WordParseError):
         parse_word(ST, "q")
+
+
+def test_parse_word_caps_the_letter_count():
+    assert len(parse_word(ST, f"t^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    with pytest.raises(WordParseError) as err:
+        parse_word(ST, f"s t^{MAX_WORD_LETTERS}")
+    assert err.value.position == 2
+    # the cap counts letters before reduction, and refuses before allocating
+    with pytest.raises(WordParseError):
+        parse_word(ST, f"t^{MAX_WORD_LETTERS} t^-1 t")
+    with pytest.raises(WordParseError):
+        parse_word(ST, "t^100000000000000000000")
 
 
 def test_format_word_groups_runs():
