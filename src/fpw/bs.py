@@ -68,6 +68,13 @@ class SyllableWord:
         object.__setattr__(self, "t_runs", runs)
         object.__setattr__(self, "s_signs", signs)
 
+    @classmethod
+    def _normal(cls, runs: tuple[int, ...], signs: tuple[int, ...]) -> "SyllableWord":
+        """Trusted constructor for runs free of cancellations: a reduced word's, or ``_pinch``'s."""
+        sw = object.__new__(cls)
+        sw.__dict__.update(t_runs=runs, s_signs=signs)
+        return sw
+
     @property
     def s_count(self) -> int:
         return len(self.s_signs)
@@ -123,7 +130,7 @@ def to_syllables(w: Word) -> SyllableWord:
             runs.append(0)
         else:
             raise ValueError(f"foreign generator {names[abs(c) - 1]!r}; expected only s, t")
-    return SyllableWord(tuple(runs), tuple(signs))
+    return SyllableWord._normal(tuple(runs), tuple(signs))
 
 
 def from_syllables(sw: SyllableWord) -> Word:
@@ -143,7 +150,7 @@ def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int
     """
     sw = to_syllables(w)
     runs, signs, pinches = _pinch(sw.t_runs, sw.s_signs, params.m, params.n)
-    return SyllableWord(runs, signs), pinches
+    return SyllableWord._normal(runs, signs), pinches
 
 
 def britton_reduce(params: BSParams, w: Word) -> SyllableWord:
@@ -194,12 +201,24 @@ def apply_f(w: Word, i: int) -> Word:
     runs, signs = _doubled(w, min(i, MAX_WORD_LETTERS.bit_length()))
     if len(signs) + sum(map(abs, runs)) > MAX_WORD_LETTERS:
         raise ValueError(f"f^{i}(w) would have more than {MAX_WORD_LETTERS} letters")
-    return from_syllables(SyllableWord(runs, signs))
+    return from_syllables(SyllableWord._normal(runs, signs))
 
 
 def in_kernel(w: Word, i: int) -> bool:
-    """Whether f^i(w) is trivial in BS(2,3), decided on the scaled t-runs."""
-    return _pinch(*_doubled(w, i), BS23.m, BS23.n)[0] == (0,)
+    """Whether f^i(w) is trivial in BS(2,3), decided on the scaled t-runs.
+
+    The s-exponent sum maps BS(2,3) onto its abelianization Z and f fixes s,
+    so a word with nonzero s-sum is never in the kernel.  With c s-letters in
+    w, in_kernel(w, i) == in_kernel(w, min(i, c)): along the stack pass each
+    run is 2^i times a rational with denominator at most 2^(nesting depth) <
+    2^c, so for i >= c every divisibility-by-2 test passes, while tests for
+    zero and for divisibility by 3 do not change under scaling by 2.
+    """
+    s = ST.code("s")
+    up, down = w.codes.count(s), w.codes.count(-s)
+    if up != down and i >= 0 and w.alphabet == ST:
+        return False
+    return _pinch(*_doubled(w, min(i, up + down)), BS23.m, BS23.n)[0] == (0,)
 
 
 def f_preimage_witnesses() -> GeneratorMap:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -493,89 +494,68 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     D is diagonal with nonnegative entries and d1 | d2 | ... ; U and V have
     determinant +-1.  All arithmetic is exact over Python ints.
+
+    Extended-gcd elimination: the smallest nonzero entry of the trailing block
+    moves to (k, k); column k and row k (column k of the transpose, with V
+    kept transposed) are cleared until both are clean; a trailing entry the
+    pivot does not divide has its row added into row k, and k is redone.
     """
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        for j in range(cols):
-            m[dst][j] += q * m[src][j]
-        for j in range(rows):
-            u[dst][j] += q * u[src][j]
-
-    def add_col(src, dst, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
     k = 0
-    while k < rows and k < cols:
-        # find a pivot of smallest absolute value in the trailing submatrix
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    while k < min(rows, cols):
+        nonzero = [(abs(x), i, j) for i in range(k, rows) for j in range(k, cols) if (x := m[i][j])]
+        if not nonzero:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        # clear row and column k; restart if a remainder shrinks the pivot
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, rows):
-                if m[i][k] != 0:
-                    q = m[i][k] // m[k][k]
-                    add_row(k, i, -q)
-                    if m[i][k] != 0:
-                        swap_rows(k, i)
-                        dirty = True
-            for j in range(k + 1, cols):
-                if m[k][j] != 0:
-                    q = m[k][j] // m[k][k]
-                    add_col(k, j, -q)
-                    if m[k][j] != 0:
-                        swap_cols(k, j)
-                        dirty = True
-        # enforce divisibility: the pivot must divide every trailing entry
-        fixed = False
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if m[i][j] % m[k][k] != 0:
-                    add_row(i, k, 1)
-                    fixed = True
-                    break
-            if fixed:
+        _, i, j = min(nonzero)  # ties go to (k, k), so a redone k gets a smaller pivot
+        m[k], m[i], u[k], u[i] = m[i], m[k], u[i], u[k]
+        for r in m:
+            r[k], r[j] = r[j], r[k]
+        vt[k], vt[j] = vt[j], vt[k]
+        while True:
+            _clear_column(m, u, k)
+            mt = [list(c) for c in zip(*m)]
+            pivot_moved = _clear_column(mt, vt, k)
+            m = [list(r) for r in zip(*mt)]
+            if not pivot_moved:
                 break
-        if fixed:
+        p = m[k][k]
+        bad = next((i for i in range(k + 1, rows) if any(x % p for x in m[i][k + 1 :])), None)
+        if bad is not None:
+            m[k] = [x + y for x, y in zip(m[k], m[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
             continue
-        if m[k][k] < 0:
-            negate_row(k)
+        if p < 0:
+            m[k][k], u[k] = -p, [-x for x in u[k]]
         k += 1
+    v = IntMatrix.from_rows(list(zip(*vt)), cols)
+    return IntMatrix.from_rows(u, rows), IntMatrix.from_rows(m, cols), v
 
-    U = IntMatrix.from_rows(u, rows) if rows else IntMatrix.zero(0, 0)
-    V = IntMatrix.from_rows(v, cols) if cols else IntMatrix.zero(0, 0)
-    D = IntMatrix.from_rows(m, cols) if rows else IntMatrix.zero(0, cols)
-    return U, D, V
+
+def _clear_column(m: list[list[int]], u: list[list[int]], k: int) -> bool:
+    """Zero column k of ``m`` below (k, k) by row transforms, also applied to
+    ``u``; return whether the pivot changed.  Entry b under pivot a goes by
+    [x y; -b/g a/g] on rows k and i (determinant 1, g = x a + y b = gcd(a, b)),
+    a plain subtraction when a | b."""
+    moved = False
+    for i in range(k + 1, len(m)):
+        a, b = m[k][k], m[i][k]
+        if b == 0:
+            continue
+        if b % a == 0:
+            g, x, y = a, 1, 0
+        else:
+            g = math.gcd(a, b)
+            x = pow(a // g, -1, abs(b // g))
+            y, moved = (g - a * x) // b, True
+        p, q = -b // g, a // g
+        for t in (m, u):
+            rk, ri = t[k], t[i]
+            t[k] = [x * c + y * d for c, d in zip(rk, ri)] if y else rk
+            t[i] = [p * c + q * d for c, d in zip(rk, ri)]
+    return moved
 
 
 def abelianization_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st_
@@ -9,6 +10,8 @@ from fpw.bs import (
     BSParams,
     BS23,
     SyllableWord,
+    _doubled,
+    _pinch,
     apply_f,
     bs_equal,
     bs_is_trivial,
@@ -24,7 +27,7 @@ from fpw.bs import (
     w_family,
 )
 from fpw.harness import tower_oracle
-from fpw.words import MAX_WORD_LETTERS, Alphabet, ShortlexWords, parse_word, substitute
+from fpw.words import MAX_WORD_LETTERS, Alphabet, ShortlexWords, parse_word, shortlex_stream, substitute
 
 from conftest import w
 
@@ -197,6 +200,9 @@ def test_stack_pass_matches_leftmost_first_reference(mn, head, syllables):
     reduced, pinches = britton_reduce_counted(params, word)
     expected = _reference_britton(params, raw.t_runs, raw.s_signs)
     assert (reduced.t_runs, reduced.s_signs, pinches) == expected
+    # the trusted constructor skipped a normalization that changes nothing
+    assert raw == SyllableWord(raw.t_runs, raw.s_signs)
+    assert reduced == SyllableWord(reduced.t_runs, reduced.s_signs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,6 +397,37 @@ def test_kernel_truth_table(i, j):
     # w_j dies under the i-fold doubling map exactly when j <= i
     word = apply_f(w_family(j), i)
     assert bs_is_trivial(BS23, word) == (j <= i)
+
+
+def _unclamped_in_kernel(word, i):
+    """f^i(w) trivial in BS(2,3), by the stack pass on runs scaled by 2^i,
+    with neither the s-sum shortcut nor the level clamp; the oracle."""
+    return _pinch(*_doubled(word, i), BS23.m, BS23.n)[0] == (0,)
+
+
+def test_level_clamp_matches_the_unclamped_predicate():
+    # in_kernel(w, i) == in_kernel(w, min(i, c)) for c the number of s-letters
+    words = ShortlexWords(ST)
+    for index in range(3000):
+        word = words[index]
+        c = len(to_syllables(word).s_signs)
+        for i in (c, c + 1, c + 3):
+            assert in_kernel(word, i) == _unclamped_in_kernel(word, i)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_kernel_stream_matches_the_unfiltered_scan(i):
+    expected = (u for u in shortlex_stream(ST) if _unclamped_in_kernel(u, i))
+    assert list(itertools.islice(kernel_stream(i), 100)) == list(itertools.islice(expected, 100))
+
+
+def test_tower_oracle_answers_at_huge_levels_at_once():
+    # the level is clamped to the s-letter count before any run is scaled
+    oracle = tower_oracle(10**10)
+    start = time.perf_counter()
+    assert not oracle(w("t"))
+    assert oracle(w_family(2))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_tower_oracle_levels_on_the_witness_family():

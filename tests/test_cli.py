@@ -319,15 +319,42 @@ def test_out_of_range_input_is_a_domain_error_not_a_traceback(argv, message):
     _assert_domain_error(argv, message)
 
 
-def _assert_domain_error(argv, message):
+def _run_cli_process(argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    return subprocess.run(
+        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def _assert_domain_error(argv, message):
+    proc = _run_cli_process(argv)
     assert proc.returncode == EXIT_DOMAIN
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
+
+
+DENSE_8X8 = [
+    [-5, 7, 8, 1, -4, -4, -1, -4],
+    [-8, 5, 7, -6, -3, 1, 9, -5],
+    [-6, 7, -7, 2, 3, 7, -7, 7],
+    [-4, -9, -2, 3, 1, -9, 9, 3],
+    [9, 6, 5, 4, 1, 4, -1, -9],
+    [3, 1, -6, -2, 1, -8, -3, -9],
+    [3, -6, -7, 2, -9, 4, 5, -9],
+    [1, 3, 9, -3, -7, 6, 5, -9],
+]
+
+
+def test_abelian_dense_8x8_exponent_matrix():
+    # no zero exponent; invariant factors 1^5, 2, 2, 10673720 by the gcds of minors
+    gens = [f"x{i}" for i in range(8)]
+    relators = (" ".join(f"{g}^{e}" for g, e in zip(gens, row)) for row in DENSE_8X8)
+    text = f"< {', '.join(gens)} | {', '.join(relators)} >"
+    proc = _run_cli_process(["abelian", "-p", text], timeout=30)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == "free rank: 0\ntorsion: 2, 2, 10673720\n"
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------- harness and demos

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -389,6 +390,147 @@ def test_snf_postconditions_random(rows, cols, rng):
         [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
     )
     _assert_snf_postconditions(a)
+
+
+def test_snf_postconditions_up_to_10x10_dense_and_sparse():
+    rng = random.Random(2024)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        if rng.random() < 0.3:
+            cols = rows
+        density = rng.choice([0.15, 0.4, 0.8, 1.0])
+        a = IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        )
+        _assert_snf_postconditions(a)
+
+
+def _dense(rng, n):
+    return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
+def _best_seconds(f, repeat=3):
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_snf_dense_7x7_regression():
+    # the pivot-once elimination ran past 10 s on this matrix
+    a = _dense(random.Random(1), 7)
+    d = _assert_snf_postconditions(a)
+    assert math.prod(d.diagonal()) == abs(a.det())
+    assert _best_seconds(lambda: smith_normal_form(a)) < 0.05
+
+
+def test_snf_dense_10x10_in_under_50_ms():
+    rng = random.Random(10)
+    for _ in range(5):
+        a = _dense(rng, 10)
+        _assert_snf_postconditions(a)
+        assert _best_seconds(lambda: smith_normal_form(a)) < 0.05
+
+
+def _reference_smith_normal_form(a):
+    """The pivot-once elimination that extended-gcd elimination replaced;
+    kept as the oracle for small matrices, where it is fast."""
+    rows, cols = a.rows, a.cols
+    m = [list(r) for r in a.entries]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row[dst] += q * row[src]
+        for j in range(cols):
+            m[dst][j] += q * m[src][j]
+        for j in range(rows):
+            u[dst][j] += q * u[src][j]
+
+    def add_col(src, dst, q):
+        for row in m:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    k = 0
+    while k < rows and k < cols:
+        # find a pivot of smallest absolute value in the trailing submatrix
+        pivot = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        swap_cols(k, pivot[1])
+        # clear row and column k; restart if a remainder shrinks the pivot
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(k + 1, rows):
+                if m[i][k] != 0:
+                    q = m[i][k] // m[k][k]
+                    add_row(k, i, -q)
+                    if m[i][k] != 0:
+                        swap_rows(k, i)
+                        dirty = True
+            for j in range(k + 1, cols):
+                if m[k][j] != 0:
+                    q = m[k][j] // m[k][k]
+                    add_col(k, j, -q)
+                    if m[k][j] != 0:
+                        swap_cols(k, j)
+                        dirty = True
+        # enforce divisibility: the pivot must divide every trailing entry
+        fixed = False
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if m[i][j] % m[k][k] != 0:
+                    add_row(i, k, 1)
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if m[k][k] < 0:
+            negate_row(k)
+        k += 1
+
+    U = IntMatrix.from_rows(u, rows) if rows else IntMatrix.zero(0, 0)
+    V = IntMatrix.from_rows(v, cols) if cols else IntMatrix.zero(0, 0)
+    D = IntMatrix.from_rows(m, cols) if rows else IntMatrix.zero(0, cols)
+    return U, D, V
+
+
+def test_snf_diagonal_matches_the_pivot_once_reference():
+    # D is unique, so both eliminations must produce it exactly
+    rng = random.Random(99)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice([0.3, 0.7, 1.0])
+        a = IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        )
+        assert smith_normal_form(a)[1] == _reference_smith_normal_form(a)[1]
 
 
 # ---------------------------------------------------------------- abelianization
