@@ -1,0 +1,107 @@
+"""Layer timings for the search path, written as JSON numbers.
+
+    PYTHONPATH=src python scripts/bench.py BENCH.json --label change
+
+Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
+
+  * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
+  * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
+    relator conjugated by t (ms, and candidate pairs/s);
+  * the Z2 rung of the subgroup search at 300 candidates and 300 emissions
+    per side, which exhausts (ms);
+  * ``semidecide_homomorphism`` for the doubling map (ms).
+
+The results go under ``--label`` in the output file, next to what other
+labels it already holds, so one file can carry a parent and a change run
+made on the same machine.  The script records numbers and never fails: a
+layer that raises is written as null and its traceback goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import time
+import traceback
+from pathlib import Path
+
+from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation, doubling_map
+from fpw.presentations import FinitePresentation, parse_presentation, trivial_word_stream
+from fpw.search import SearchBudget, iso_search, semidecide_homomorphism, subgroup_presentation_search
+from fpw.words import parse_word
+
+
+def best_of(repeat: int, call) -> tuple[float, object]:
+    """Fastest wall time of ``repeat`` calls, in seconds, with the last result."""
+    best, result = float("inf"), None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def measure(repeat: int) -> dict:
+    bs = bs_presentation(BS23)
+    t = parse_word(ST, "t")
+    variant = FinitePresentation(ST, (t * bs.relators[0] * ~t,))
+    z2 = parse_presentation("< a | a^2 >")
+
+    def stream():
+        secs, _ = best_of(repeat, lambda: list(itertools.islice(trivial_word_stream(bs), 744)))
+        return {"emissions": 744, "ms": secs * 1e3, "emissions_per_s": 744 / secs}
+
+    def iso_pinned():
+        secs, found = best_of(repeat, lambda: iso_search(bs, variant, SearchBudget(400, 300)))
+        pairs = found.pair_index + 1
+        return {"ms": secs * 1e3, "pair_index": found.pair_index, "units": found.steps, "pairs_per_s": pairs / secs}
+
+    def subgroup_z2():
+        def run():
+            return subgroup_presentation_search(
+                bs, lambda w: bs_is_trivial(BS23, w), [t], z2, SearchBudget(300, 300)
+            )
+        secs, outcome = best_of(repeat, run)
+        return {"ms": secs * 1e3, "units": outcome.steps}
+
+    def hom_doubling():
+        secs, proved = best_of(repeat, lambda: semidecide_homomorphism(doubling_map(), bs, bs, 20000))
+        return {"ms": secs * 1e3, "steps": proved.steps}
+
+    layers = {}
+    for name, run in [("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
+                      ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling)]:
+        try:
+            layers[name] = run()
+        except Exception:  # a broken layer is recorded as null, never a failed run
+            traceback.print_exc()
+            layers[name] = None
+    return layers
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("output", type=Path, help="JSON file to write (merged if it exists)")
+    parser.add_argument("--label", default="run", help="key of this run in the output file")
+    parser.add_argument("--repeat", type=int, default=15, help="runs per timing; the best is kept")
+    args = parser.parse_args()
+    run = {
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "repeat": args.repeat,
+        "layers": measure(max(args.repeat, 1)),
+    }
+    try:
+        data = json.loads(args.output.read_text())
+    except (OSError, ValueError):
+        data = {}
+    data = data if isinstance(data, dict) else {}
+    data[args.label] = run
+    args.output.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

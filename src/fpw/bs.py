@@ -229,7 +229,9 @@ def f_preimage_witnesses() -> GeneratorMap:
 
 def w_family(i: int) -> Word:
     """The witness words: w_0 is empty, w_1 = [s^-1 t s, t], and each later
-    w_i substitutes the preimage witnesses into its predecessor."""
+    w_i substitutes the preimage witnesses into its predecessor.  The length
+    roughly doubles per step, so past MAX_WORD_LETTERS letters (from w_19
+    on) this raises ValueError."""
     if i < 0:
         raise ValueError("index must be >= 0")
     if i == 0:
@@ -238,6 +240,8 @@ def w_family(i: int) -> Word:
     shrink = f_preimage_witnesses()
     for _ in range(i - 1):
         w = substitute(w, shrink)
+        if len(w) > MAX_WORD_LETTERS:
+            raise ValueError(f"w_{i} would have more than {MAX_WORD_LETTERS} letters")
     return w
 
 

@@ -167,6 +167,8 @@ def _cmd_wfam(args) -> int:
 
 
 def _cmd_kernel_enum(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     stream = kernel_stream(args.iterate)
     for _ in range(args.count):
         print(format_word(next(stream)))
@@ -177,6 +179,8 @@ def _cmd_kernel_enum(args) -> int:
 
 
 def _cmd_enum_trivial(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     pres = _load_presentation(args.presentation)
     emitted = []
     for (w, cert), _ in zip(trivial_word_stream(pres), range(args.count)):

@@ -20,12 +20,14 @@ Candidate map pairs are scanned sequentially in Cantor order, each image
 tuple decoded through the Cantor bijection into shortlex word indices, so
 every finite pair of maps is eventually tried.  A candidate pair whose
 obligations already fail in the abelianization can never verify and is
-skipped without consuming stream budget.
+skipped without consuming stream budget or building a word.  A search pulls
+each presentation's certificate stream once and reads every pair off it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
@@ -143,22 +145,28 @@ class _AbelianTester:
     exponent vector in the integer row span of the relator matrix."""
 
     def __init__(self, pres: FinitePresentation):
-        self.generators = pres.generators
         _, d, v = smith_normal_form(exponent_matrix(pres))
-        self._v = v
-        self._diag = d.diagonal()
+        diag = d.diagonal()
+        self._columns = [(col, diag[j] if j < len(diag) else 0) for j, col in enumerate(zip(*v.entries))]
 
-    def trivial_possible(self, w: Word) -> bool:
-        vec = exponent_vector(self.generators, w)
-        g = len(vec)
-        for j in range(g):
-            val = sum(vec[i] * self._v.entries[i][j] for i in range(g))
-            d = self._diag[j] if j < len(self._diag) else 0
-            if d == 0:
-                if val != 0:
+    def passes(
+        self, relator_vectors: Sequence[Sequence[int]], m_there: list[tuple[int, ...]], m_back: list[tuple[int, ...]]
+    ) -> bool:
+        """Whether every obligation of this side for a pair (there, back) can
+        be trivial, read off exponent vectors with no word built.  Row h of
+        ``m_there``/``m_back`` is the exponent vector of that map's image of
+        generator h; substitute(r, back) has vector e(r) m_back, the round trip
+        of generator g has m_there[g] m_back - e_g, and ``vec V`` must be
+        entrywise a multiple of the Smith diagonal."""
+        cols = list(zip(*m_back))
+        for i, row in enumerate([*m_there, *relator_vectors]):
+            vec = [sum(map(operator.mul, row, col)) for col in cols]
+            if i < len(m_there):
+                vec[i] -= 1
+            for col, d in self._columns:
+                val = sum(map(operator.mul, vec, col))
+                if val % d if d else val:
                     return False
-            elif val % d != 0:
-                return False
         return True
 
 
@@ -169,12 +177,35 @@ def _round_trips(there: GeneratorMap, back: GeneratorMap) -> list[Word]:
     return [img * invert(gens.gen_word(g.name)) for g, img in zip(gens.generators, there.then(back).images)]
 
 
-class _SideState:
-    def __init__(self, pres: FinitePresentation, targets: set[Word]):
-        self.pending = set(targets)
-        self.stream = trivial_word_stream(pres) if self.pending else None
-        self.steps = 0
-        self.live = self.stream is not None
+class _Side:
+    """One presentation as one search sees it.  Its certificate stream is
+    pulled lazily, at most ``cap`` emissions deep, and ``first`` maps each
+    distinct word of that prefix to its first emission position (from 1);
+    every candidate pair of the search reads the same prefix."""
+
+    def __init__(self, pres: FinitePresentation, cap: int):
+        self.pres = pres
+        self.words = ShortlexWords(pres.generators)
+        self.abelian = _AbelianTester(pres)
+        self.relator_vectors = exponent_matrix(pres).entries
+        self.cap = cap
+        self.first: dict[Word, int] = {}
+        self.pulled = 0
+        self.ended = False
+        self._stream = trivial_word_stream(pres)
+
+    @property
+    def full(self) -> bool:
+        return self.ended or self.pulled == self.cap
+
+    def pull(self) -> Word | None:
+        """Pull one more emission and return its word, or None at the stream's end."""
+        word, _ = next(self._stream, (None, None))
+        self.ended = word is None
+        if word is not None:
+            self.pulled += 1
+            self.first.setdefault(word, self.pulled)
+        return word
 
 
 class _PairScanner:
@@ -183,57 +214,52 @@ class _PairScanner:
     Pair z decodes as (a, b) = cantor_unpair(z); map a runs left -> right,
     map b right -> left.  A pair verifies when both homomorphism obligations
     and both generator-wise composition identities are proved trivial, each
-    side from its own certificate stream capped at ``per_side`` emissions.
+    side from its own certificate stream capped at ``cap`` emissions.
+
+    A pair costs what fresh streams pulled in lockstep, one emission per side
+    per round, would spend, read off the shared prefixes: a side whose
+    obligations all appear by position ``need`` <= cap spends ``need``; a side
+    that cannot meet them fails at round cap, or at its stream length + 1 if
+    the stream is shorter; and every side spends at most the earliest failure
+    round.  No side is pulled past a round where the other is known to fail.
     """
 
-    def __init__(self, left: FinitePresentation, right: FinitePresentation, per_side: int):
+    def __init__(self, left: _Side, right: _Side):
         self.left = left
         self.right = right
-        self.per_side = per_side
-        self.left_words = ShortlexWords(left.generators)
-        self.right_words = ShortlexWords(right.generators)
-        self.ab_left = _AbelianTester(left)
-        self.ab_right = _AbelianTester(right)
         self.next_pair = 0
 
     def attempt_next(self) -> tuple[IsoWitness | None, int]:
         """Verify the next pair; returns (witness or None, emissions used)."""
         a, b = cantor_unpair(self.next_pair)
         self.next_pair += 1
-        phi = _map_at(self.left.generators, self.right_words, a)
-        psi = _map_at(self.right.generators, self.left_words, b)
-
-        left_targets = {substitute(rel, psi) for rel in self.right.relators}
-        left_targets.update(_round_trips(phi, psi))
-        right_targets = {substitute(rel, phi) for rel in self.left.relators}
-        right_targets.update(_round_trips(psi, phi))
-
-        if not all(self.ab_left.trivial_possible(w) for w in left_targets):
+        left, right = self.left, self.right
+        phi = _map_at(left.pres.generators, right.words, a)
+        psi = _map_at(right.pres.generators, left.words, b)
+        m_phi, m_psi = ([exponent_vector(m.codomain, img) for img in m.images] for m in (phi, psi))
+        if not (left.abelian.passes(right.relator_vectors, m_phi, m_psi)
+                and right.abelian.passes(left.relator_vectors, m_psi, m_phi)):
             return None, 0
-        if not all(self.ab_right.trivial_possible(w) for w in right_targets):
-            return None, 0
-
-        sides = (
-            _SideState(self.left, left_targets),
-            _SideState(self.right, right_targets),
+        targets = (
+            {substitute(r, psi) for r in right.pres.relators}.union(_round_trips(phi, psi)),
+            {substitute(r, phi) for r in left.pres.relators}.union(_round_trips(psi, phi)),
         )
-        used = 0
-        while True:
-            if all(not s.pending for s in sides):
-                return IsoWitness(forward=phi, backward=psi), used
-            if any(s.pending and (s.steps >= self.per_side or not s.live) for s in sides):
-                return None, used
-            for s in sides:
-                if not s.pending or s.steps >= self.per_side or not s.live:
-                    continue
-                try:
-                    w, _ = next(s.stream)
-                except StopIteration:
-                    s.live = False
-                    continue
-                s.steps += 1
-                used += 1
-                s.pending.discard(w)
+        # per side: the side, its obligations, those not in its prefix yet
+        state = [(s, ts, {t for t in ts if t not in s.first}) for s, ts in zip((left, right), targets)]
+        while True:  # a full side still missing a word fails at its cap, or at its length + 1 if it ended
+            fail = min((s.pulled + s.ended for s, _, missing in state if missing and s.full), default=None)
+            growing = [
+                (s, missing) for s, _, missing in state
+                if missing and not s.full and (fail is None or s.pulled < fail)
+            ]
+            if not growing:
+                break
+            s, missing = min(growing, key=lambda g: g[0].pulled)
+            missing.discard(s.pull())
+        spent = [s.pulled if missing else max(map(s.first.get, ts), default=0) for s, ts, missing in state]
+        if fail is None:
+            return IsoWitness(forward=phi, backward=psi), sum(spent)
+        return None, sum(min(x, fail) for x in spent)
 
 
 def iso_search(
@@ -247,7 +273,8 @@ def iso_search(
     the same budget reproduces the same witness, and a larger
     ``max_candidates`` cannot change a witness that was already found.
     """
-    scanner = _PairScanner(left, right, budget.max_stream_steps)
+    cap = budget.max_stream_steps
+    scanner = _PairScanner(_Side(left, cap), _Side(right, cap))
     units = 0
     for z in range(budget.max_candidates):
         witness, used = scanner.attempt_next()
@@ -269,13 +296,6 @@ def verify_iso_witness(
     trips = [(left, w) for w in _round_trips(witness.forward, witness.backward)]
     trips += [(right, w) for w in _round_trips(witness.backward, witness.forward)]
     return all(isinstance(semidecide_trivial(p, w, budget), ProvedTrivial) for p, w in trips)
-
-
-@dataclass
-class _SubTask:
-    k: int
-    presentation: FinitePresentation
-    scanner: _PairScanner
 
 
 def subgroup_presentation_search(
@@ -307,8 +327,9 @@ def subgroup_presentation_search(
     c_source = shortlex_stream(fresh)
     next(c_source)  # the empty word presents nothing
     accepted: list[Word] = []
-    p0 = FinitePresentation(fresh, ())
-    tasks = [_SubTask(0, p0, _PairScanner(target, p0, budget.max_stream_steps))]
+    cap = budget.max_stream_steps
+    target_side = _Side(target, cap)  # one prefix and one abelian filter for every P_k
+    scanners = [_PairScanner(target_side, _Side(FinitePresentation(fresh, ()), cap))]
     candidates = 0
     units = 0
     while candidates < budget.max_candidates:
@@ -317,16 +338,16 @@ def subgroup_presentation_search(
         units += 1
         if oracle_parent(substitute(c, to_parent)):
             accepted.append(c)
-            pk = FinitePresentation(fresh, tuple(accepted))
-            tasks.append(_SubTask(len(accepted), pk, _PairScanner(target, pk, budget.max_stream_steps)))
-        for task in tasks:
+            scanners.append(_PairScanner(target_side, _Side(FinitePresentation(fresh, tuple(accepted)), cap)))
+        for scanner in scanners:
             if candidates >= budget.max_candidates:
                 break
             candidates += 1
-            witness, used = task.scanner.attempt_next()
+            witness, used = scanner.attempt_next()
             units += used
             if witness is not None:
-                return SubgroupFound(task.k, task.presentation, witness, steps=units)
+                pk = scanner.right.pres
+                return SubgroupFound(len(pk.relators), pk, witness, steps=units)
     return Exhausted(units)
 
 

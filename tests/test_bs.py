@@ -383,6 +383,12 @@ def test_w_family_raw_length_bookkeeping():
     assert len(w_family(3).letters) < 44
 
 
+def test_w_family_stops_at_the_length_cap():
+    # w_18 has 786468 letters and stays; w_19 would pass MAX_WORD_LETTERS = 2^20
+    with pytest.raises(ValueError, match="w_19 would have more than 1048576 letters"):
+        w_family(19)
+
+
 def test_w_family_rejects_negative():
     with pytest.raises(ValueError):
         w_family(-1)

@@ -310,13 +310,23 @@ def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field):
         (("apply-f", "t", "-i", "64"), "more than 1048576 letters"),
         (("bs-triv", "t^100000000000000000000"), "longer than 1048576 letters at position 0"),
         (("reduce", "x^-100000000000000000000", "--alphabet", "x"), "longer than 1048576 letters"),
+        (("enum-trivial", "-p", "< x | x^2 >", "--count", "-1"), "count must be >= 0"),
+        (("kernel-enum", "-i", "1", "--count", "-3"), "count must be >= 0"),
     ],
     ids=["hom-check-budget", "tietze-check-budget", "demo-budget", "apply-f-huge-iterate",
-         "bs-triv-huge-exponent", "reduce-huge-exponent"],
+         "bs-triv-huge-exponent", "reduce-huge-exponent", "enum-trivial-count", "kernel-enum-count"],
 )
 def test_out_of_range_input_is_a_domain_error_not_a_traceback(argv, message):
     # the word-length cap must reject these before allocating anything
     _assert_domain_error(argv, message)
+
+
+@pytest.mark.parametrize(
+    "argv", [("wfam", "-i", "40"), ("demo", "recover-card", "--kmax", "40")], ids=["wfam", "recover-card"]
+)
+def test_witness_family_past_the_length_cap_is_a_domain_error(argv):
+    # w_i roughly doubles per step; w_19 is the first past the cap
+    _assert_domain_error(argv, "would have more than 1048576 letters", timeout=30)
 
 
 def _run_cli_process(argv, timeout=60):
@@ -326,8 +336,8 @@ def _run_cli_process(argv, timeout=60):
     )
 
 
-def _assert_domain_error(argv, message):
-    proc = _run_cli_process(argv)
+def _assert_domain_error(argv, message, timeout=60):
+    proc = _run_cli_process(argv, timeout)
     assert proc.returncode == EXIT_DOMAIN
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -1,5 +1,6 @@
-"""Smoke test: every census script in scripts/ runs with its smallest arguments."""
+"""Smoke test: every script in scripts/ runs with its smallest arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,22 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_bench_writes_layer_numbers(tmp_path):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for label in ("parent", "change"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench.py"), str(out), "--label", label, "--repeat", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert set(data) == {"parent", "change"}
+    run = data["change"]
+    assert run["cores"] >= 1 and run["python"]
+    assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
+    assert run["layers"]["search.iso_pinned"]["units"] == 6018
+    assert run["layers"]["search.hom_doubling"]["steps"] == 744
+    assert run["layers"]["stream.bs23_744"]["emissions_per_s"] > 0

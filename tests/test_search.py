@@ -1,12 +1,20 @@
-import pytest
+import itertools
 
-from fpw.bs import BS23, bs_is_trivial, bs_presentation, doubling_map
+import pytest
+from hypothesis import given, settings, strategies as st_
+
+import fpw.search
+from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation, doubling_map
+from fpw.harness import cantor_pair, cantor_tuple, cantor_unpair
 from fpw.presentations import (
     Exhausted,
     FinitePresentation,
     certificate_word,
+    exponent_matrix,
     exponent_vector,
     parse_presentation,
+    smith_normal_form,
+    trivial_word_stream,
 )
 from fpw.search import (
     Found,
@@ -21,8 +29,12 @@ from fpw.search import (
     semidecide_homomorphism,
     subgroup_presentation_search,
     verify_iso_witness,
+    _map_at,
+    _PairScanner,
+    _round_trips,
+    _Side,
 )
-from fpw.words import Alphabet, GeneratorMap, parse_word, substitute
+from fpw.words import Alphabet, GeneratorMap, ShortlexWords, parse_word, substitute
 
 from conftest import w
 
@@ -288,3 +300,243 @@ def test_hopfian_lift_mixed_alphabets_rejected():
     pres_k = parse_presentation("< W1, W2 | >")
     with pytest.raises(ValueError):
         hopfian_lift([w("t"), parse_word(X, "x")], pres_k, bs_oracle)
+
+
+# ---------------------------------------------------------------- scanner oracle
+#
+# The scanner as it was before it read candidate pairs off shared stream
+# prefixes: every pair opens fresh certificate streams on both sides and pulls
+# them in lockstep, and the abelian filter runs on built target words.  It is
+# the reference for the closed-form scanner in fpw.search.
+
+
+class _OracleAbelianTester:
+    def __init__(self, pres):
+        self.generators = pres.generators
+        _, d, v = smith_normal_form(exponent_matrix(pres))
+        self._v = v
+        self._diag = d.diagonal()
+
+    def trivial_possible(self, w):
+        vec = exponent_vector(self.generators, w)
+        g = len(vec)
+        for j in range(g):
+            val = sum(vec[i] * self._v.entries[i][j] for i in range(g))
+            d = self._diag[j] if j < len(self._diag) else 0
+            if d == 0:
+                if val != 0:
+                    return False
+            elif val % d != 0:
+                return False
+        return True
+
+
+class _OracleSideState:
+    def __init__(self, pres, targets):
+        self.pending = set(targets)
+        self.stream = trivial_word_stream(pres) if self.pending else None
+        self.steps = 0
+        self.live = self.stream is not None
+
+
+class _OraclePairScanner:
+    def __init__(self, left, right, per_side):
+        self.left = left
+        self.right = right
+        self.per_side = per_side
+        self.left_words = ShortlexWords(left.generators)
+        self.right_words = ShortlexWords(right.generators)
+        self.ab_left = _OracleAbelianTester(left)
+        self.ab_right = _OracleAbelianTester(right)
+        self.next_pair = 0
+
+    def targets(self, phi, psi):
+        left_targets = {substitute(rel, psi) for rel in self.right.relators}
+        left_targets.update(_round_trips(phi, psi))
+        right_targets = {substitute(rel, phi) for rel in self.left.relators}
+        right_targets.update(_round_trips(psi, phi))
+        return left_targets, right_targets
+
+    def abelian_ok(self, phi, psi):
+        left_targets, right_targets = self.targets(phi, psi)
+        return all(self.ab_left.trivial_possible(w) for w in left_targets) and all(
+            self.ab_right.trivial_possible(w) for w in right_targets
+        )
+
+    def attempt_next(self):
+        a, b = cantor_unpair(self.next_pair)
+        self.next_pair += 1
+        phi = _map_at(self.left.generators, self.right_words, a)
+        psi = _map_at(self.right.generators, self.left_words, b)
+        if not self.abelian_ok(phi, psi):
+            return None, 0
+        left_targets, right_targets = self.targets(phi, psi)
+        sides = (
+            _OracleSideState(self.left, left_targets),
+            _OracleSideState(self.right, right_targets),
+        )
+        used = 0
+        while True:
+            if all(not s.pending for s in sides):
+                return IsoWitness(forward=phi, backward=psi), used
+            if any(s.pending and (s.steps >= self.per_side or not s.live) for s in sides):
+                return None, used
+            for s in sides:
+                if not s.pending or s.steps >= self.per_side or not s.live:
+                    continue
+                try:
+                    w, _ = next(s.stream)
+                except StopIteration:
+                    s.live = False
+                    continue
+                s.steps += 1
+                used += 1
+                s.pending.discard(w)
+
+
+# < x | > has a finite certificate stream (the empty word only), so a side
+# over it fails at its stream length + 1 rather than at the cap
+SCANNER_CASES = [
+    parse_presentation(text)
+    for text in (
+        "< x | >",
+        "< x | x^2 >",
+        "< y | y^-2 >",
+        "< x | x^3 >",
+        "< x | x^2, x^4 >",
+        "< a, b | >",
+        "< a, b | a b a^-1 b^-1 >",
+        "< a, b | a^2, b >",
+        "< a, b | a^3, a b a^-1 b^-1 >",
+        "< s, t | s^-1 t^2 s t^-3 >",
+        "< u, v | u^2, v^2, u v u v >",
+    )
+]
+
+
+def _scanner(left, right, per_side):
+    return _PairScanner(_Side(left, per_side), _Side(right, per_side))
+
+
+@pytest.mark.parametrize("per_side", [0, 1, 3, 20, 60])
+def test_pair_scanner_matches_the_lockstep_oracle(per_side):
+    # every ordered pair of presentations, the first 60 candidate pairs each:
+    # the same witness maps and the same emission count on every pair
+    for left in SCANNER_CASES:
+        for right in SCANNER_CASES:
+            oracle = _OraclePairScanner(left, right, per_side)
+            scanner = _scanner(left, right, per_side)
+            for z in range(60):
+                expected, got = oracle.attempt_next(), scanner.attempt_next()
+                assert got == expected, (left.format(), right.format(), per_side, z)
+
+
+def _pair_index(scanner, phi_text, psi_text):
+    """The candidate pair index z at which ``scanner`` decodes the given maps."""
+    def index(words, image):
+        return next(i for i in itertools.count() if words[i] == image)
+
+    left, right = scanner.left, scanner.right
+    phi = GeneratorMap.parse(left.pres.generators, right.pres.generators, phi_text)
+    psi = GeneratorMap.parse(right.pres.generators, left.pres.generators, psi_text)
+    a = cantor_tuple(tuple(index(right.words, img) for img in phi.images))
+    b = cantor_tuple(tuple(index(left.words, img) for img in psi.images))
+    return cantor_pair(a, b)
+
+
+FREE2 = parse_presentation("< a, b | >")
+ZZ = parse_presentation("< a, b | a b a^-1 b^-1 >")
+
+
+@pytest.mark.parametrize(
+    "left,right,phi_text,psi_text,pulled",
+    [
+        # the Z^2 side needs the relator, at position 2 ...
+        (FREE2, ZZ, "a=a,b=b", "a=a,b=a b a^-1", (1, 2)),
+        # ... or its inverse, at position 3, of which it may spend only 2
+        (FREE2, ZZ, "a=a,b=b", "a=b a b^-1,b=b", (1, 2)),
+        # a round trip far down the Z^2 stream: that side is pulled to 2, not to the cap
+        (ZZ, FREE2, "a=a,b=a^3 b a^-3", "a=a,b=b", (2, 1)),
+    ],
+)
+def test_pair_scanner_when_a_finite_stream_fails_first(left, right, phi_text, psi_text, pulled):
+    # < a, b | > emits only the empty word, so its side fails at round 2, and
+    # the other side spends at most 2 emissions however deep its prefix is
+    oracle = _OraclePairScanner(left, right, 60)
+    fresh, warm = _scanner(left, right, 60), _scanner(left, right, 60)
+    for side in (warm.left, warm.right):  # as if earlier pairs had pulled deeper
+        for _ in range(10):
+            side.pull()
+    for scanner in (oracle, fresh, warm):
+        scanner.next_pair = _pair_index(fresh, phi_text, psi_text)
+    expected = oracle.attempt_next()
+    assert expected == (None, 3)
+    assert fresh.attempt_next() == expected
+    assert warm.attempt_next() == expected
+    assert (fresh.left.pulled, fresh.right.pulled) == pulled
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st_.sampled_from(SCANNER_CASES),
+    st_.sampled_from(SCANNER_CASES),
+    st_.integers(0, 400),
+    st_.integers(0, 400),
+)
+def test_exponent_vector_filter_matches_the_word_filter(left, right, a, b):
+    oracle = _OraclePairScanner(left, right, 0)
+    ls, rs = _Side(left, 0), _Side(right, 0)
+    phi = _map_at(left.generators, rs.words, a)
+    psi = _map_at(right.generators, ls.words, b)
+    m_phi = [exponent_vector(right.generators, img) for img in phi.images]
+    m_psi = [exponent_vector(left.generators, img) for img in psi.images]
+    by_vectors = ls.abelian.passes(rs.relator_vectors, m_phi, m_psi) and rs.abelian.passes(
+        ls.relator_vectors, m_psi, m_phi
+    )
+    assert by_vectors == oracle.abelian_ok(phi, psi)
+
+
+def _count_streams(monkeypatch):
+    """Wrap the search module's certificate stream; return, per opened
+    stream, its presentation and a one-element list counting its emissions."""
+    opened = []
+
+    def counting(pres):
+        pulled = [0]
+        opened.append((pres, pulled))
+
+        def emissions():
+            for item in trivial_word_stream(pres):
+                pulled[0] += 1
+                yield item
+
+        return emissions()
+
+    monkeypatch.setattr(fpw.search, "trivial_word_stream", counting)
+    return opened
+
+
+def test_pinned_bs_search_pulls_each_stream_once(monkeypatch):
+    opened = _count_streams(monkeypatch)
+    bs = bs_presentation(BS23)
+    t = w("t")
+    variant = FinitePresentation(ST, (t * bs.relators[0] * ~t,))
+    outcome = iso_search(bs, variant, SearchBudget(400, 300))
+    assert isinstance(outcome, Found)
+    assert (outcome.pair_index, outcome.steps) == (364, 6018)
+    assert [pres for pres, _ in opened] == [bs, variant]
+    assert all(pulled[0] <= 300 + 1 for _, pulled in opened)
+
+
+def test_subgroup_search_shares_the_target_stream(monkeypatch):
+    opened = _count_streams(monkeypatch)
+    target = parse_presentation("< a | a^2 >")
+    outcome = subgroup_presentation_search(
+        Z2, parity_oracle, [parse_word(X, "x")], target, SearchBudget(600, 200)
+    )
+    assert isinstance(outcome, SubgroupFound) and outcome.k == 1
+    # the target's stream once, then one per candidate presentation P_0, P_1, ...
+    presentations = [pres for pres, _ in opened]
+    assert presentations[0] == target and presentations.count(target) == 1
+    assert [len(pres.relators) for pres in presentations[1:]] == list(range(len(opened) - 1))
+    assert all(pulled[0] <= 200 + 1 for _, pulled in opened)
