@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +41,6 @@ from .harness import (
     tower_oracle,
 )
 from .presentations import (
-    PresentationSyntaxError,
     TrivialityCertificate,
     abelianization_invariants,
     certificate_word,
@@ -71,7 +71,6 @@ from .tietze import (
 from .words import (
     Alphabet,
     GeneratorMap,
-    WordParseError,
     format_word,
     parse_word,
     substitute,
@@ -101,10 +100,13 @@ def _params(args) -> BSParams:
 
 def _load_json_arg(text: str):
     """Inline JSON if it looks like it, else the contents of a file path."""
-    stripped = text.strip()
-    if stripped.startswith(("[", "{")):
-        return json.loads(stripped)
-    return json.loads(Path(text).read_text())
+    source = text.strip()
+    if not source.startswith(("[", "{")):
+        source = Path(text).read_text()
+    try:
+        return json.loads(source)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _load_presentation(text: str):
@@ -403,157 +405,90 @@ def _cmd_demo_recover_card(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_mn(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", type=int, default=2, help="left exponent (default 2)")
-    p.add_argument("-n", type=int, default=3, help="right exponent (default 3)")
+def _arg(*flags, **kw):
+    """One argument spec: the flags and keywords of an add_argument call."""
+    return flags, kw
+
+
+_P = partial(_arg, "-p", "--presentation", required=True)
+_Q = partial(_arg, "-q", "--codomain", required=True)
+_I = partial(_arg, "-i", "--iterate", type=int)
+_BUDGET = partial(_arg, "--budget", type=int, default=20000)
+_CANDIDATES = partial(_arg, "--candidates", type=int, default=2000)
+_JSON = _arg("--json", action="store_true")
+_WORD = _arg("word")
+_MN = (
+    _arg("-m", type=int, default=2, help="left exponent (default 2)"),
+    _arg("-n", type=int, default=3, help="right exponent (default 3)"),
+)
+
+# One row per subcommand: name, help, handler, arguments in help order.  A row
+# without a handler is a group; "group leaf" rows register under it.
+_COMMANDS = (
+    ("reduce", "freely reduce a word", _cmd_reduce,
+     (_WORD, _arg("--alphabet", default="s,t", help="comma-separated generator names"))),
+    ("bs-triv", "decide triviality in BS(m,n)", _cmd_bs_triv, (_WORD, *_MN)),
+    ("bs-equal", "decide equality in BS(m,n)", _cmd_bs_equal, (_arg("left"), _arg("right"), *_MN)),
+    ("bs-reduce", "Britton normal form and pinch count", _cmd_bs_reduce, (_WORD, *_MN, _JSON)),
+    ("apply-f", "apply the doubling endomorphism i times", _cmd_apply_f, (_WORD, _I(default=1))),
+    ("wfam", "print the i-th witness word w_i", _cmd_wfam, (_I(required=True),)),
+    ("kernel-enum", "enumerate kernel words of the i-th iterate", _cmd_kernel_enum,
+     (_I(required=True), _arg("--count", type=int, default=5))),
+    ("enum-trivial", "enumerate provably trivial words", _cmd_enum_trivial,
+     (_P(), _arg("--count", type=int, default=10), _JSON)),
+    ("check-cert", "verify a triviality certificate", _cmd_check_cert,
+     (_P(), _WORD, _arg("--cert", required=True, help="certificate JSON (inline or a file path)"))),
+    ("abelian", "abelianization invariants", _cmd_abelian, (_P(), _JSON)),
+    ("perfect", "is the abelianization trivial?", _cmd_perfect, (_P(),)),
+    ("hom-check", "semi-decide that a map is a homomorphism", _cmd_hom_check,
+     (_P(help="domain presentation"), _Q(help="codomain presentation"),
+      _arg("--map", required=True, help='e.g. "s=s,t=t^2"'), _BUDGET())),
+    ("hom-decide", "decide a map into BS(m,n)", _cmd_hom_decide,
+     (_P(help="domain presentation"), _arg("--map", required=True, help="images over s,t"), *_MN)),
+    ("iso-search", "search for an isomorphism witness", _cmd_iso_search,
+     (_P(), _Q(), _CANDIDATES(help="map pairs to try"), _BUDGET(help="stream emissions per side"),
+      _JSON)),
+    ("subgrp-presentation", "search for a subgroup presentation in BS(m,n)", _cmd_subgrp,
+     (_arg("--gens", required=True, help="comma-separated generating words over s,t"),
+      _Q(help="conjectured presentation"), *_MN, _CANDIDATES(), _BUDGET(), _JSON)),
+    ("tietze-apply", "apply a JSON list of moves", _cmd_tietze_apply,
+     (_P(), _arg("--moves", required=True, help="moves JSON (inline or a file path)"), _JSON)),
+    ("tietze-check", "validate one move, searching if needed", _cmd_tietze_check,
+     (_P(), _arg("--move", required=True, help="move JSON (inline or a file path)"), _BUDGET(),
+      _JSON)),
+    ("pair", "Cantor pairing", _cmd_pair, (_arg("x", type=int), _arg("y", type=int))),
+    ("unpair", "Cantor unpairing", _cmd_unpair, (_arg("z", type=int),)),
+    ("compress", "deduplicate a finite int stream", _cmd_compress,
+     (_arg("values", help="comma-separated non-negative integers"),)),
+    ("demo", "worked demonstrations", None, ()),
+    ("demo non-hopfian", "machine-checked non-Hopf argument", _cmd_demo_non_hopfian, (_BUDGET(),)),
+    ("demo recover-card", "recover |W| from the tower oracle", _cmd_demo_recover_card,
+     (_arg("--set", default="4,7", help="comma-separated finite set W"),
+      _arg("--kmax", type=int, default=5))),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fpw", description="finitely presented group workbench")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", help="freely reduce a word")
-    p.add_argument("word")
-    p.add_argument("--alphabet", default="s,t", help="comma-separated generator names")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("bs-triv", help="decide triviality in BS(m,n)")
-    p.add_argument("word")
-    _add_mn(p)
-    p.set_defaults(func=_cmd_bs_triv)
-
-    p = sub.add_parser("bs-equal", help="decide equality in BS(m,n)")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_mn(p)
-    p.set_defaults(func=_cmd_bs_equal)
-
-    p = sub.add_parser("bs-reduce", help="Britton normal form and pinch count")
-    p.add_argument("word")
-    _add_mn(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bs_reduce)
-
-    p = sub.add_parser("apply-f", help="apply the doubling endomorphism i times")
-    p.add_argument("word")
-    p.add_argument("-i", "--iterate", type=int, default=1)
-    p.set_defaults(func=_cmd_apply_f)
-
-    p = sub.add_parser("wfam", help="print the i-th witness word w_i")
-    p.add_argument("-i", "--iterate", type=int, required=True)
-    p.set_defaults(func=_cmd_wfam)
-
-    p = sub.add_parser("kernel-enum", help="enumerate kernel words of the i-th iterate")
-    p.add_argument("-i", "--iterate", type=int, required=True)
-    p.add_argument("--count", type=int, default=5)
-    p.set_defaults(func=_cmd_kernel_enum)
-
-    p = sub.add_parser("enum-trivial", help="enumerate provably trivial words")
-    p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enum_trivial)
-
-    p = sub.add_parser("check-cert", help="verify a triviality certificate")
-    p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("word")
-    p.add_argument("--cert", required=True, help="certificate JSON (inline or a file path)")
-    p.set_defaults(func=_cmd_check_cert)
-
-    p = sub.add_parser("abelian", help="abelianization invariants")
-    p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_abelian)
-
-    p = sub.add_parser("perfect", help="is the abelianization trivial?")
-    p.add_argument("-p", "--presentation", required=True)
-    p.set_defaults(func=_cmd_perfect)
-
-    p = sub.add_parser("hom-check", help="semi-decide that a map is a homomorphism")
-    p.add_argument("-p", "--presentation", required=True, help="domain presentation")
-    p.add_argument("-q", "--codomain", required=True, help="codomain presentation")
-    p.add_argument("--map", required=True, help='e.g. "s=s,t=t^2"')
-    p.add_argument("--budget", type=int, default=20000)
-    p.set_defaults(func=_cmd_hom_check)
-
-    p = sub.add_parser("hom-decide", help="decide a map into BS(m,n)")
-    p.add_argument("-p", "--presentation", required=True, help="domain presentation")
-    p.add_argument("--map", required=True, help="images over s,t")
-    _add_mn(p)
-    p.set_defaults(func=_cmd_hom_decide)
-
-    p = sub.add_parser("iso-search", help="search for an isomorphism witness")
-    p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("-q", "--codomain", required=True)
-    p.add_argument("--candidates", type=int, default=2000, help="map pairs to try")
-    p.add_argument("--budget", type=int, default=20000, help="stream emissions per side")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_iso_search)
-
-    p = sub.add_parser(
-        "subgrp-presentation", help="search for a subgroup presentation in BS(m,n)"
-    )
-    p.add_argument("--gens", required=True, help="comma-separated generating words over s,t")
-    p.add_argument("-q", "--codomain", required=True, help="conjectured presentation")
-    _add_mn(p)
-    p.add_argument("--candidates", type=int, default=2000)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_subgrp)
-
-    p = sub.add_parser("tietze-apply", help="apply a JSON list of moves")
-    p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("--moves", required=True, help="moves JSON (inline or a file path)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tietze_apply)
-
-    p = sub.add_parser("tietze-check", help="validate one move, searching if needed")
-    p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("--move", required=True, help="move JSON (inline or a file path)")
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tietze_check)
-
-    p = sub.add_parser("pair", help="Cantor pairing")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
-    p.set_defaults(func=_cmd_pair)
-
-    p = sub.add_parser("unpair", help="Cantor unpairing")
-    p.add_argument("z", type=int)
-    p.set_defaults(func=_cmd_unpair)
-
-    p = sub.add_parser("compress", help="deduplicate a finite int stream")
-    p.add_argument("values", help="comma-separated non-negative integers")
-    p.set_defaults(func=_cmd_compress)
-
-    demo = sub.add_parser("demo", help="worked demonstrations")
-    demo_sub = demo.add_subparsers(dest="demo_command", required=True)
-
-    p = demo_sub.add_parser("non-hopfian", help="machine-checked non-Hopf argument")
-    p.add_argument("--budget", type=int, default=20000)
-    p.set_defaults(func=_cmd_demo_non_hopfian)
-
-    p = demo_sub.add_parser("recover-card", help="recover |W| from the tower oracle")
-    p.add_argument("--set", default="4,7", help="comma-separated finite set W")
-    p.add_argument("--kmax", type=int, default=5)
-    p.set_defaults(func=_cmd_demo_recover_card)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, summary, func, arguments in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=summary)
+        for flags, kw in arguments:
+            p.add_argument(*flags, **kw)
+        if func is None:
+            groups[name] = p.add_subparsers(dest=f"{leaf}_command", required=True)
+        else:
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (WordParseError, PresentationSyntaxError, TietzeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except json.JSONDecodeError as e:
-        print(f"error: bad JSON: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as e:
+    # word, presentation and JSON syntax errors are ValueErrors
+    except (ValueError, TietzeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .bs import BS23, ST, bs_presentation, in_kernel, kernel_stream, w_family
+from .bs import BS23, ST, bs_presentation, in_kernel, kernel_stream
 from .presentations import RecursivePresentation
-from .words import Word
+from .words import Word, commutator
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -139,18 +139,26 @@ def quotient_tower_presentation(W: ExplicitFiniteSet) -> RecursivePresentation:
     return RecursivePresentation(ST, source)
 
 
+def _linear_witness(j: int) -> Word:
+    """v_j = [s^-j t s^j, t], with 4j + 4 letters (v_0 is empty).  Its image
+    under f^k is [s^-j t^(2^k) s^j, t^(2^k)], trivial in BS(2,3) exactly when
+    j <= k, so v_j dies at tower level j and not before."""
+    s, t = ST.gen_word("s"), ST.gen_word("t")
+    return commutator(~s**j * t * s**j, t)
+
+
 def recover_cardinality(oracle: Callable[[Word], bool], k_max: int) -> int:
     """Read |W| back off a tower oracle known to sit at level <= k_max.
 
-    Tests the witness words w_0 .. w_{k_max + 1} and returns the largest index
-    the oracle calls trivial; for the level-k oracle that is exactly k.  The
-    answer is only meaningful under the level bound, which is why the bound is
-    an explicit argument.
+    Tests the linear witnesses v_0 .. v_{k_max + 1} and returns the largest
+    index the oracle calls trivial; for the level-k oracle that is exactly k.
+    The answer is only meaningful under the level bound, which is why the
+    bound is an explicit argument.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     best = 0
     for j in range(k_max + 2):
-        if oracle(w_family(j)):
+        if oracle(_linear_witness(j)):
             best = j
     return best

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -6,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fpw.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from fpw.cli import _COMMANDS, EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 BS_TEXT = "< s, t | s^-1 t^2 s = t^3 >"
 W1_TEXT = "s^-1 t s t s^-1 t^-1 s t^-1"
@@ -291,12 +296,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", '{"a":1}'), "list"),
         (("tietze-check", "-p", "< x | x^2 >", "--move", '{"op":"add_rel"}'), "word"),
         (("tietze-check", "-p", "< x, y | y x^-1 >", "--move", '{"op":"rem_gen","name":"y"}'), "index"),
+        (("check-cert", "-p", "< x | x^2 >", "--cert", "[" * 100000, "x"), "JSON nested too deeply"),
+        (("tietze-check", "-p", "< x | x^2 >", "--move", "nested.json"), "JSON nested too deeply"),
     ],
     ids=["cert-factor-missing-conj", "cert-factor-not-object", "cert-not-list",
-         "add-rel-missing-word", "rem-gen-missing-index"],
+         "add-rel-missing-word", "rem-gen-missing-index", "cert-nested-inline", "move-nested-file"],
 )
-def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field):
-    _assert_domain_error(argv, field)
+def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field, tmp_path):
+    (tmp_path / "nested.json").write_text("[" * 100000)
+    _assert_domain_error(argv, field, cwd=tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -321,23 +329,28 @@ def test_out_of_range_input_is_a_domain_error_not_a_traceback(argv, message):
     _assert_domain_error(argv, message)
 
 
-@pytest.mark.parametrize(
-    "argv", [("wfam", "-i", "40"), ("demo", "recover-card", "--kmax", "40")], ids=["wfam", "recover-card"]
-)
+@pytest.mark.parametrize("argv", [("wfam", "-i", "40")], ids=["wfam"])
 def test_witness_family_past_the_length_cap_is_a_domain_error(argv):
     # w_i roughly doubles per step; w_19 is the first past the cap
     _assert_domain_error(argv, "would have more than 1048576 letters", timeout=30)
 
 
-def _run_cli_process(argv, timeout=60):
+def test_recover_card_reads_levels_past_the_witness_family_cap():
+    # the linear witnesses v_j stay short, so no k_max is too large
+    proc = _run_cli_process(["demo", "recover-card", "--kmax", "40"], timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "|W| = 2\n", "")
+
+
+def _run_cli_process(argv, timeout=60, cwd=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout,
+        cwd=cwd,
     )
 
 
-def _assert_domain_error(argv, message, timeout=60):
-    proc = _run_cli_process(argv, timeout)
+def _assert_domain_error(argv, message, timeout=60, cwd=None):
+    proc = _run_cli_process(argv, timeout, cwd)
     assert proc.returncode == EXIT_DOMAIN
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -435,3 +448,92 @@ def test_installed_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == W1_TEXT + "\n"
+
+
+# ---------------------------------------------------------------- help text and argv fuzzing
+
+# SHA-256 over `fpw --help`, `fpw demo --help` and every subcommand's --help in
+# parser order at COLUMNS=80; any changed flag, default, help string or option
+# order changes it
+HELP_SHA256 = "b44316b9ed76b949142bba1d4ff3325cabf7759f0abe9ddf147239b8843f7f2b"
+
+
+def _command_prefixes(parser, prefix=()):
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_prefixes(sub, (*prefix, name))
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse formats help differently across Python minor versions"
+)
+def test_help_text_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for prefix in _command_prefixes(build_parser()):
+        with pytest.raises(SystemExit) as err:
+            main([*prefix, "--help"])
+        assert err.value.code == EXIT_OK
+        digest.update(" ".join(prefix).encode() + b"\0" + capsys.readouterr().out.encode() + b"\0")
+    assert digest.hexdigest() == HELP_SHA256
+
+
+_FUZZ_WORDS = ["", "s", "t", "x x", "x^4", "s t^-1", "s^-1 t^2 s t^-3", W1_TEXT, "s q", "t^", "s^-",
+               "t^99999999999", "(", "a b"]
+_FUZZ_PRESENTATIONS = ["< x | x^2 >", "< y | y^3 >", "< x | x >", "< a | >", BS_TEXT,
+                       "< a, b | a^3, a b a^-1 b^-1 >", "<>", "< x, x | >", "< x | y >",
+                       "no-such-presentation.txt", "."]
+_FUZZ_JSON = ["[", "]", "null", "[]", "{}", "[{}]", "[1]", "1e999", '[{"conj": "", "rel": 0, "sign": 1}]',
+              '[{"conj": 5, "rel": "0", "sign": null}]', '[{"conj": "x", "rel": 9, "sign": 2}]',
+              '{"op": "rem_rel", "index": 1}', '{"op": "add_gen", "name": "y", "definition": "x x"}',
+              '{"op": 3}', '{"op": "rem_gen", "name": [], "index": "0"}', '[{"op": "add_rel", "word": 7}]',
+              "[" * 5000 + "]" * 5000, '{"a": ' * 5000 + "1" + "}" * 5000]
+_FUZZ_MAPS = ["x=y", "y=x", "x=s", "s=s,t=t^2", "s=t,t=s", "a=b,b=a", "x=", "=", "x=y,x=y", "q",
+              "x=t^99999999999"]
+_FUZZ_NATURALS = ["", "4,7", "0,1,2", "3,3", "-1", "1,,2", "a"]
+_FUZZ_TEXT = {
+    "word": _FUZZ_WORDS, "left": _FUZZ_WORDS, "right": _FUZZ_WORDS,
+    "gens": _FUZZ_WORDS + ["t,s", "t^2, s t s^-1", "s,"],
+    "presentation": _FUZZ_PRESENTATIONS, "codomain": _FUZZ_PRESENTATIONS,
+    "cert": _FUZZ_JSON, "move": _FUZZ_JSON, "moves": _FUZZ_JSON,
+    "map": _FUZZ_MAPS, "alphabet": ["s,t", "a,b", "x", "", "a,a", ","],
+    "set": _FUZZ_NATURALS, "values": _FUZZ_NATURALS,
+}
+# at their defaults one search takes seconds, so the fuzz always sets them
+_ALWAYS_DRAWN = {"budget", "candidates"}
+# w_i doubles in length per step; rejecting w_19 and up takes most of a second
+_INT_RANGES = {("wfam", "iterate"): (-3, 12)}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    name, _, _, arguments = draw(st.sampled_from([row for row in _COMMANDS if row[2] is not None]))
+    argv = name.split()
+    for flags, kw in arguments:
+        dest = flags[-1].lstrip("-")
+        positional = not flags[0].startswith("-")
+        if dest not in _ALWAYS_DRAWN:
+            odds = 9 if positional or kw.get("required") else 1
+            if draw(st.integers(0, odds)) == 0:
+                continue
+        if kw.get("action") == "store_true":
+            value = []
+        elif kw.get("type") is int:
+            value = [str(draw(st.integers(*_INT_RANGES.get((name, dest), (-3, 40)))))]
+        else:
+            value = [draw(st.sampled_from(_FUZZ_TEXT[dest]))]
+        argv += value if positional else [flags[0], *value]
+    return argv
+
+
+@settings(max_examples=250, deadline=2000)
+@given(_fuzz_argv())
+def test_fuzzed_argv_ends_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as err:
+            code = err.code
+    assert code in {EXIT_OK, EXIT_DOMAIN, EXIT_BUDGET, EXIT_USAGE}

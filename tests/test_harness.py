@@ -1,4 +1,6 @@
+import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st_
 from fpw.bs import BS23, apply_f, bs_is_trivial, w_family
 from fpw.harness import (
     ExplicitFiniteSet,
+    _linear_witness,
     cantor_pair,
     cantor_tuple,
     cantor_unpair,
@@ -216,3 +219,40 @@ def test_recover_cardinality_uses_the_bound():
     # at level 5 with k_max 3 the scan tops out: the answer is the largest
     # index tried, illustrating why the bound is part of the contract
     assert recover_cardinality(tower_oracle(5), 3) == 4
+
+
+_cached_w_family = functools.cache(w_family)
+
+
+def _w_based_recover_cardinality(oracle, k_max):
+    # the w_j-based scan that the linear witnesses replaced, kept as the oracle
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    best = 0
+    for j in range(k_max + 2):
+        if oracle(_cached_w_family(j)):
+            best = j
+    return best
+
+
+def test_recover_cardinality_matches_the_w_based_scan():
+    # levels past the bound included: both scans top out at k_max + 1
+    for k_max in range(13):
+        for k in range(k_max + 3):
+            oracle = tower_oracle(k)
+            assert recover_cardinality(oracle, k_max) == _w_based_recover_cardinality(oracle, k_max)
+
+
+def test_linear_witnesses_die_exactly_at_their_level():
+    for j in range(40):
+        v = _linear_witness(j)
+        assert len(v) == (4 * j + 4 if j else 0)
+        assert tower_oracle(j)(v)
+        assert j == 0 or not tower_oracle(j - 1)(v)
+    assert _linear_witness(1) == w_family(1)
+
+
+def test_recover_cardinality_has_no_level_cap():
+    start = time.perf_counter()
+    assert recover_cardinality(tower_oracle(2), 300) == 2
+    assert time.perf_counter() - start < 5
