@@ -9,7 +9,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     relator conjugated by t (ms, and candidate pairs/s);
   * the Z2 rung of the subgroup search at 300 candidates and 300 emissions
     per side, which exhausts (ms);
-  * ``semidecide_homomorphism`` for the doubling map (ms).
+  * ``semidecide_homomorphism`` for the doubling map (ms);
+  * ``semidecide_trivial`` on the word of BS(2,3)'s 300th emission (ms);
+  * ``verify_iso_witness`` on the pinned pair's witness at budget 2000 (ms).
 
 The results go under ``--label`` in the output file, next to what other
 labels it already holds, so one file can carry a parent and a change run
@@ -29,8 +31,14 @@ import traceback
 from pathlib import Path
 
 from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation, doubling_map
-from fpw.presentations import FinitePresentation, parse_presentation, trivial_word_stream
-from fpw.search import SearchBudget, iso_search, semidecide_homomorphism, subgroup_presentation_search
+from fpw.presentations import FinitePresentation, parse_presentation, semidecide_trivial, trivial_word_stream
+from fpw.search import (
+    SearchBudget,
+    iso_search,
+    semidecide_homomorphism,
+    subgroup_presentation_search,
+    verify_iso_witness,
+)
 from fpw.words import parse_word
 
 
@@ -71,9 +79,20 @@ def measure(repeat: int) -> dict:
         secs, proved = best_of(repeat, lambda: semidecide_homomorphism(doubling_map(), bs, bs, 20000))
         return {"ms": secs * 1e3, "steps": proved.steps}
 
+    def trivial_300th():
+        word, _ = next(itertools.islice(trivial_word_stream(bs), 299, None))
+        secs, proved = best_of(repeat, lambda: semidecide_trivial(bs, word, 20000))
+        return {"ms": secs * 1e3, "steps": proved.steps}
+
+    def verify_pinned():
+        witness = iso_search(bs, variant, SearchBudget(400, 300)).witness
+        secs, ok = best_of(repeat, lambda: verify_iso_witness(bs, variant, witness, 2000))
+        return {"ms": secs * 1e3, "verified": ok}
+
     layers = {}
     for name, run in [("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
-                      ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling)]:
+                      ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
+                      ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned)]:
         try:
             layers[name] = run()
         except Exception:  # a broken layer is recorded as null, never a failed run

@@ -94,7 +94,6 @@ from .tietze import (
     check_move,
     move_to_json,
     parse_move,
-    parse_sequence,
     presentation_hash,
 )
 from .harness import (

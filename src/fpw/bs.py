@@ -229,19 +229,20 @@ def f_preimage_witnesses() -> GeneratorMap:
 
 def w_family(i: int) -> Word:
     """The witness words: w_0 is empty, w_1 = [s^-1 t s, t], and each later
-    w_i substitutes the preimage witnesses into its predecessor.  The length
-    roughly doubles per step, so past MAX_WORD_LETTERS letters (from w_19
-    on) this raises ValueError."""
+    w_i substitutes the preimage witnesses into its predecessor.  For i >= 1,
+    w_i has 3 * 2^i + 2i letters, so from w_19 on, past MAX_WORD_LETTERS
+    letters, this raises ValueError before building anything."""
     if i < 0:
         raise ValueError("index must be >= 0")
+    # 2^i is capped at the cap's bit length, past which every w_i is too long
+    if 3 * 2 ** min(i, MAX_WORD_LETTERS.bit_length()) + 2 * i > MAX_WORD_LETTERS:
+        raise ValueError(f"w_{i} would have more than {MAX_WORD_LETTERS} letters")
     if i == 0:
         return ST.empty_word()
     w = commutator(ST.word("s^-1 t s"), ST.word("t"))
     shrink = f_preimage_witnesses()
     for _ in range(i - 1):
         w = substitute(w, shrink)
-        if len(w) > MAX_WORD_LETTERS:
-            raise ValueError(f"w_{i} would have more than {MAX_WORD_LETTERS} letters")
     return w
 
 

@@ -65,7 +65,6 @@ from .tietze import (
     apply_sequence,
     check_move,
     parse_move,
-    parse_sequence,
     presentation_hash,
 )
 from .words import (
@@ -308,8 +307,7 @@ def _cmd_tietze_apply(args) -> int:
     moves_data = _load_json_arg(args.moves)
     if not isinstance(moves_data, list):
         raise ValueError("moves must be a JSON list")
-    moves = parse_sequence(pres, moves_data)
-    result, log = apply_sequence(pres, moves)
+    result, log = apply_sequence(pres, moves_data)
     if args.json:
         _print_json(
             {

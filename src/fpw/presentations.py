@@ -12,9 +12,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .words import (
+    MAX_WORD_LETTERS,
     Alphabet,
     ShortlexWords,
     Word,
@@ -197,6 +198,7 @@ class TrivialityCertificate:
         if not isinstance(data, list):
             raise ValueError("certificate must be a JSON list of factors")
         factors = []
+        letters = 0
         for k, item in enumerate(data):
             where = f"certificate factor {k}"
             if not isinstance(item, dict):
@@ -205,6 +207,9 @@ class TrivialityCertificate:
             rel = _json_field(item, "rel", int, where)
             sign = _json_field(item, "sign", int, where)
             factors.append(CertFactor(parse_word(alphabet, conj), rel, sign))
+            letters += len(factors[-1].conjugator)
+            if letters > MAX_WORD_LETTERS:
+                raise ValueError(f"{where}: conjugators pass {MAX_WORD_LETTERS} letters in all")
         return cls(tuple(factors))
 
     def __str__(self) -> str:
@@ -270,7 +275,9 @@ def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
     """Evaluate a certificate to the reduced word it proves trivial.
 
     The factors' codes are concatenated and reduced once, which gives the
-    same word as multiplying the factors in one at a time.
+    same word as multiplying the factors in one at a time.  Spelling out
+    more than ``MAX_WORD_LETTERS`` letters is a ValueError, raised before
+    the factor that would pass the cap is copied.
     """
     pool = _RelatorPool(pres)
     if cert.factors:
@@ -283,8 +290,11 @@ def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
             continue  # c . empty . c^-1 contributes nothing
         if i >= pool.count:
             raise ValueError(f"relator index {i} out of range")
+        r = pool.codes(i, e)
+        if len(codes) + 2 * len(c.codes) + len(r) > MAX_WORD_LETTERS:
+            raise ValueError(f"certificate spells more than {MAX_WORD_LETTERS} letters")
         codes += c.codes
-        codes += pool.codes(i, e)
+        codes += r
         codes += _inverse(c.codes)
     return _word(pres.generators, codes)
 
@@ -377,6 +387,29 @@ class Exhausted:
     steps: int
 
 
+def _scan(
+    pres: Presentation, targets: Collection[Word], budget: int
+) -> tuple[list[TrivialityCertificate], int] | Exhausted:
+    """One pass over at most ``budget`` emissions of the certificate stream:
+    the first certificate of each target, in target order, and the position
+    of the last target to appear, or Exhausted if one does not appear."""
+    pending: dict[Word, list[int]] = {}
+    for pos, t in enumerate(targets):
+        pending.setdefault(t, []).append(pos)
+    certs: list = [None] * len(targets)
+    if not pending:
+        return certs, 0
+    steps = 0
+    for word, cert in itertools.islice(trivial_word_stream(pres), budget):
+        steps += 1
+        if word in pending:
+            for pos in pending.pop(word):
+                certs[pos] = cert
+            if not pending:
+                return certs, steps
+    return Exhausted(steps)
+
+
 def semidecide_trivial(
     pres: Presentation, w: Word, budget: int
 ) -> ProvedTrivial | Exhausted:
@@ -389,12 +422,11 @@ def semidecide_trivial(
         raise ValueError("budget must be >= 0")
     if w.alphabet != pres.generators:
         raise ValueError("word is not over the presentation's generators")
-    steps = 0
-    for word, cert in itertools.islice(trivial_word_stream(pres), budget):
-        steps += 1
-        if word == w:
-            return ProvedTrivial(cert, steps)
-    return Exhausted(steps)
+    found = _scan(pres, (w,), budget)
+    if isinstance(found, Exhausted):
+        return found
+    (cert,), steps = found
+    return ProvedTrivial(cert, steps)
 
 
 # --------------------------------------------------------------------------

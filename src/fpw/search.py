@@ -26,7 +26,6 @@ each presentation's certificate stream once and reads every pair off it.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
@@ -37,12 +36,11 @@ from .presentations import (
     FinitePresentation,
     Presentation,
     TrivialityCertificate,
+    _scan,
     exponent_matrix,
     exponent_vector,
-    semidecide_trivial,
     smith_normal_form,
     trivial_word_stream,
-    ProvedTrivial,
 )
 from .words import Alphabet, GeneratorMap, ShortlexWords, Word, invert, shortlex_stream, substitute
 
@@ -94,6 +92,13 @@ class SubgroupFound:
     steps: int
 
 
+def _check_map(phi: GeneratorMap, dom: Presentation, cod: Presentation, budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if phi.domain != dom.generators or phi.codomain != cod.generators:
+        raise ValueError("map endpoints do not match the presentations")
+
+
 def semidecide_homomorphism(
     phi: GeneratorMap, dom: FinitePresentation, cod: Presentation, budget: int
 ) -> Proved | Exhausted:
@@ -102,26 +107,12 @@ def semidecide_homomorphism(
     A single enumeration of ``cod``'s certificate stream is matched against
     all relator images at once; the budget caps its emissions.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    if phi.domain != dom.generators or phi.codomain != cod.generators:
-        raise ValueError("map endpoints do not match the presentations")
-    targets = [substitute(r, phi) for r in dom.relators]
-    certs: list[TrivialityCertificate | None] = [None] * len(targets)
-    pending: dict[Word, list[int]] = {}
-    for pos, t in enumerate(targets):
-        pending.setdefault(t, []).append(pos)
-    if not pending:
-        return Proved((), 0)
-    steps = 0
-    for w, cert in itertools.islice(trivial_word_stream(cod), budget):
-        steps += 1
-        if w in pending:
-            for pos in pending.pop(w):
-                certs[pos] = cert
-            if not pending:
-                return Proved(tuple(certs), steps)  # type: ignore[arg-type]
-    return Exhausted(steps)
+    _check_map(phi, dom, cod, budget)
+    found = _scan(cod, [substitute(r, phi) for r in dom.relators], budget)
+    if isinstance(found, Exhausted):
+        return found
+    certs, steps = found
+    return Proved(tuple(certs), steps)
 
 
 def decide_homomorphism(
@@ -175,6 +166,13 @@ def _round_trips(there: GeneratorMap, back: GeneratorMap) -> list[Word]:
     trivial exactly when back . there fixes every generator."""
     gens = there.domain
     return [img * invert(gens.gen_word(g.name)) for g, img in zip(gens.generators, there.then(back).images)]
+
+
+def _obligations(there: GeneratorMap, back: GeneratorMap, far: FinitePresentation) -> set[Word]:
+    """What must be trivial in ``there``'s domain for the pair (there, back)
+    to verify on that side: ``back``'s images of the relators of ``far``,
+    the presentation across, and the round trips back(there(g)) g^-1."""
+    return {substitute(r, back) for r in far.relators}.union(_round_trips(there, back))
 
 
 class _Side:
@@ -240,10 +238,7 @@ class _PairScanner:
         if not (left.abelian.passes(right.relator_vectors, m_phi, m_psi)
                 and right.abelian.passes(left.relator_vectors, m_psi, m_phi)):
             return None, 0
-        targets = (
-            {substitute(r, psi) for r in right.pres.relators}.union(_round_trips(phi, psi)),
-            {substitute(r, phi) for r in left.pres.relators}.union(_round_trips(psi, phi)),
-        )
+        targets = (_obligations(phi, psi, right.pres), _obligations(psi, phi, left.pres))
         # per side: the side, its obligations, those not in its prefix yet
         state = [(s, ts, {t for t in ts if t not in s.first}) for s, ts in zip((left, right), targets)]
         while True:  # a full side still missing a word fails at its cap, or at its length + 1 if it ended
@@ -288,14 +283,13 @@ def verify_iso_witness(
     left: FinitePresentation, right: FinitePresentation, witness: IsoWitness, budget: int
 ) -> bool:
     """Re-verify a witness from scratch: both homomorphism checks and the
-    four-way composition identities, each within ``budget`` emissions."""
-    if not isinstance(semidecide_homomorphism(witness.forward, left, right, budget), Proved):
-        return False
-    if not isinstance(semidecide_homomorphism(witness.backward, right, left, budget), Proved):
-        return False
-    trips = [(left, w) for w in _round_trips(witness.forward, witness.backward)]
-    trips += [(right, w) for w in _round_trips(witness.backward, witness.forward)]
-    return all(isinstance(semidecide_trivial(p, w, budget), ProvedTrivial) for p, w in trips)
+    four-way composition identities, each within ``budget`` emissions.  Each
+    side's obligations are read off one scan of its certificate stream."""
+    phi, psi = witness.forward, witness.backward
+    _check_map(phi, left, right, budget)
+    _check_map(psi, right, left, budget)
+    sides = ((right, _obligations(psi, phi, left)), (left, _obligations(phi, psi, right)))
+    return not any(isinstance(_scan(pres, targets, budget), Exhausted) for pres, targets in sides)
 
 
 def subgroup_presentation_search(
@@ -377,5 +371,5 @@ def hopfian_lift(
     if len(alphabets) != 1:
         raise ValueError("subgroup generator words must share one alphabet")
     mapping = GeneratorMap(pres_k.generators, alphabets.pop(), tuple(gens))
-    verified = all(oracle_parent(substitute(r, mapping)) for r in pres_k.relators)
+    verified = decide_homomorphism(mapping, pres_k, oracle_parent)
     return LiftReport(mapping, verified, injectivity_certified=False)

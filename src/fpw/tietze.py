@@ -83,27 +83,6 @@ class RemoveGenerator:
 TietzeMove = AddRelator | RemoveRelator | AddGenerator | RemoveGenerator
 
 
-def _certificate_error(
-    pres: FinitePresentation, cert: TrivialityCertificate, word: Word
-) -> str | None:
-    """Why the certificate fails to derive ``word``, or None if it succeeds."""
-    try:
-        derived = certificate_word(pres, cert)
-    except ValueError as e:
-        return str(e)
-    if derived != word:
-        return (
-            f"certificate derives '{format_word(derived)}', "
-            f"not '{format_word(word)}'"
-        )
-    return None
-
-
-def _removed(pres: FinitePresentation, index: int) -> FinitePresentation:
-    rels = pres.relators[:index] + pres.relators[index + 1 :]
-    return FinitePresentation(pres.generators, rels)
-
-
 def _lift(word: Word, alphabet: Alphabet) -> Word:
     """The same word over another alphabet containing its letters, each
     letter re-encoded by its generator's name (codes are positional)."""
@@ -111,30 +90,38 @@ def _lift(word: Word, alphabet: Alphabet) -> Word:
     return _word(alphabet, [alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes])
 
 
-def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation:
-    """Apply one move, validating its evidence; raises TietzeError subclasses."""
+def _obligation(
+    pres: FinitePresentation, move: AddRelator | RemoveRelator
+) -> tuple[FinitePresentation, Word]:
+    """The presentation a relator move's word must be proved trivial in, and
+    that word; raises for a foreign word or an index out of range."""
     if isinstance(move, AddRelator):
         if move.word.alphabet != pres.generators:
             raise InvalidCertificate("relator is not a word over the presentation's generators")
-        if move.certificate is None:
-            raise InvalidCertificate("adding a relator requires a triviality certificate")
-        reason = _certificate_error(pres, move.certificate, move.word)
-        if reason is not None:
-            raise InvalidCertificate(reason)
-        return FinitePresentation(pres.generators, pres.relators + (move.word,))
+        return pres, move.word
+    i, rels = move.index, pres.relators
+    if not 0 <= i < len(rels):
+        raise IndexOutOfRange(f"relator index {i} out of range for {len(rels)} relators")
+    return FinitePresentation(pres.generators, rels[:i] + rels[i + 1 :]), rels[i]
 
-    if isinstance(move, RemoveRelator):
-        if not 0 <= move.index < len(pres.relators):
-            raise IndexOutOfRange(
-                f"relator index {move.index} out of range for {len(pres.relators)} relators"
-            )
+
+def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation:
+    """Apply one move, validating its evidence; raises TietzeError subclasses."""
+    if isinstance(move, (AddRelator, RemoveRelator)):
+        proved_in, word = _obligation(pres, move)
+        adding = isinstance(move, AddRelator)
         if move.certificate is None:
-            raise InvalidCertificate("removing a relator requires a derivation certificate")
-        remaining = _removed(pres, move.index)
-        reason = _certificate_error(remaining, move.certificate, pres.relators[move.index])
-        if reason is not None:
-            raise InvalidCertificate(reason)
-        return remaining
+            raise InvalidCertificate(
+                "adding a relator requires a triviality certificate" if adding
+                else "removing a relator requires a derivation certificate"
+            )
+        try:
+            derived = certificate_word(proved_in, move.certificate)
+        except ValueError as e:
+            raise InvalidCertificate(str(e)) from None
+        if derived != word:
+            raise InvalidCertificate(f"certificate derives '{format_word(derived)}', not '{format_word(word)}'")
+        return FinitePresentation(pres.generators, pres.relators + (word,)) if adding else proved_in
 
     if isinstance(move, AddGenerator):
         if move.name in pres.generators.names():
@@ -259,34 +246,23 @@ def parse_move(pres: FinitePresentation, data: dict) -> TietzeMove:
     raise ValueError(f"unknown move op: {op!r}")
 
 
-def parse_sequence(pres: FinitePresentation, data: Sequence[dict]) -> list[TietzeMove]:
-    """Decode a move list, threading each move's effect so later moves parse
-    against the presentation they will actually see."""
-    current = pres
-    moves: list[TietzeMove] = []
-    for i, item in enumerate(data):
-        move = parse_move(current, item)
-        moves.append(move)
-        try:
-            current = apply_move(current, move)
-        except TietzeError as e:
-            raise type(e)(e.message, step=i) from None
-    return moves
-
-
 def _canonical_move_json(move: TietzeMove) -> str:
     return json.dumps(move_to_json(move), sort_keys=True, separators=(",", ":"))
 
 
 def apply_sequence(
-    pres: FinitePresentation, moves: Sequence[TietzeMove]
+    pres: FinitePresentation, moves: Sequence[TietzeMove | dict]
 ) -> tuple[FinitePresentation, MoveLog]:
     """Apply moves in order, building the hash chain; the first failure is
-    re-raised with its step index attached."""
+    re-raised with its step index attached.  A JSON move object is decoded
+    against the presentation it applies to, so a later move may use the
+    generators an earlier one introduced; malformed JSON raises ValueError."""
     current = pres
     before = presentation_hash(pres)
     entries: list[MoveLogEntry] = []
     for i, move in enumerate(moves):
+        if not isinstance(move, TietzeMove):
+            move = parse_move(current, move)
         try:
             current = apply_move(current, move)
         except TietzeError as e:
@@ -325,22 +301,13 @@ def check_move(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if isinstance(move, AddRelator) and move.certificate is None:
-        if move.word.alphabet != pres.generators:
-            return Invalid("relator is not a word over the presentation's generators")
-        outcome = semidecide_trivial(pres, move.word, budget)
-    elif isinstance(move, RemoveRelator) and move.certificate is None:
-        if not 0 <= move.index < len(pres.relators):
-            return Invalid(
-                f"relator index {move.index} out of range for {len(pres.relators)} relators"
-            )
-        outcome = semidecide_trivial(_removed(pres, move.index), pres.relators[move.index], budget)
-    else:
-        try:
+    try:
+        if not isinstance(move, (AddRelator, RemoveRelator)) or move.certificate is not None:
             apply_move(pres, move)
-        except TietzeError as e:
-            return Invalid(e.message)
-        return Valid(getattr(move, "certificate", None))
+            return Valid(getattr(move, "certificate", None))
+        outcome = semidecide_trivial(*_obligation(pres, move), budget)
+    except TietzeError as e:
+        return Invalid(e.message)
     if isinstance(outcome, ProvedTrivial):
         return Valid(outcome.certificate)
     return Unverifiable(budget)

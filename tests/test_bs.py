@@ -364,6 +364,17 @@ def test_w_family_recursion_is_substitution():
         assert w_family(i + 1) == substitute(w_family(i), sub)
 
 
+def test_w_family_length_closed_form():
+    # |w_i| = 3 * 2^i + 2i; w_19 would be the first past the cap, so it is refused unbuilt
+    assert [len(w_family(i)) for i in range(1, 19)] == [3 * 2**i + 2 * i for i in range(1, 19)]
+    assert 3 * 2**18 + 2 * 18 <= MAX_WORD_LETTERS < 3 * 2**19 + 2 * 19
+    for i in (19, 40, 10**18):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"w_{i} would have more than {MAX_WORD_LETTERS} letters"):
+            w_family(i)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_w_family_raw_length_bookkeeping():
     # Substituting t -> s^-1 t s t^-1 turns each t-letter into four letters
     # (two of them t-letters) and keeps s-letters, so without any free

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,19 +322,41 @@ def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field, tmp_path)
         (("reduce", "x^-100000000000000000000", "--alphabet", "x"), "longer than 1048576 letters"),
         (("enum-trivial", "-p", "< x | x^2 >", "--count", "-1"), "count must be >= 0"),
         (("kernel-enum", "-i", "1", "--count", "-3"), "count must be >= 0"),
+        (("check-cert", "-p", BS_TEXT, "t", "--cert", '[{"conj": "s^600000", "rel": 0, "sign": 1}]'),
+         "certificate spells more than 1048576 letters"),
     ],
     ids=["hom-check-budget", "tietze-check-budget", "demo-budget", "apply-f-huge-iterate",
-         "bs-triv-huge-exponent", "reduce-huge-exponent", "enum-trivial-count", "kernel-enum-count"],
+         "bs-triv-huge-exponent", "reduce-huge-exponent", "enum-trivial-count", "kernel-enum-count",
+         "check-cert-spelled"],
 )
 def test_out_of_range_input_is_a_domain_error_not_a_traceback(argv, message):
     # the word-length cap must reject these before allocating anything
     _assert_domain_error(argv, message)
 
 
-@pytest.mark.parametrize("argv", [("wfam", "-i", "40")], ids=["wfam"])
+@pytest.mark.parametrize(
+    "argv", [("wfam", "-i", "40"), ("wfam", "-i", str(10**18))], ids=["wfam", "wfam-huge"]
+)
 def test_witness_family_past_the_length_cap_is_a_domain_error(argv):
-    # w_i roughly doubles per step; w_19 is the first past the cap
+    # w_i has 3 * 2^i + 2i letters; w_19 is the first past the cap
     _assert_domain_error(argv, "would have more than 1048576 letters", timeout=30)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+
+def test_check_cert_with_huge_conjugators_is_a_bounded_domain_error():
+    # 40 conjugators of a million letters each: refused while decoding, not after
+    # spelling 80 million letters (which ran out of memory under this limit)
+    cert = json.dumps([{"conj": "s^1000000", "rel": 0, "sign": 1}] * 40)
+    start = time.perf_counter()
+    argv = ["check-cert", "-p", BS_TEXT, "t", "--cert", cert]
+    proc = _run_cli_process(argv, 30, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == EXIT_DOMAIN
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: certificate factor 1: conjugators pass 1048576 letters in all\n"
 
 
 def test_recover_card_reads_levels_past_the_witness_family_cap():
@@ -341,11 +365,11 @@ def test_recover_card_reads_levels_past_the_witness_family_cap():
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "|W| = 2\n", "")
 
 
-def _run_cli_process(argv, timeout=60, cwd=None):
+def _run_cli_process(argv, timeout=60, cwd=None, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout,
-        cwd=cwd,
+        cwd=cwd, preexec_fn=preexec_fn,
     )
 
 

@@ -28,7 +28,7 @@ from fpw.presentations import (
     trivial_word_stream,
     unique_words,
 )
-from fpw.words import Alphabet, parse_word, shortlex_stream
+from fpw.words import MAX_WORD_LETTERS, Alphabet, parse_word, shortlex_stream
 
 from conftest import w
 
@@ -184,6 +184,29 @@ def test_certificate_json_roundtrip():
     )
     data = json.loads(json.dumps(cert.to_json()))
     assert TrivialityCertificate.from_json(a, data) == cert
+
+
+def test_certificate_word_refuses_to_spell_past_the_cap():
+    # each factor spells 2 |c| + |r| letters; x^2 conjugated by x^c spells 2c + 2
+    p = parse_presentation("< x | x^2 >")
+    c = (MAX_WORD_LETTERS - 2) // 2
+    at_cap = TrivialityCertificate((CertFactor(xw(f"x^{c}"), 0, 1),))
+    assert certificate_word(p, at_cap) == xw("x^2")
+    past_cap = TrivialityCertificate((CertFactor(xw(f"x^{c + 1}"), 0, 1),))
+    with pytest.raises(ValueError, match=f"certificate spells more than {MAX_WORD_LETTERS} letters"):
+        certificate_word(p, past_cap)
+    # the running total counts every factor, so small factors add up too
+    many = TrivialityCertificate((CertFactor(xw(f"x^{c // 2}"), 0, 1),) * 3)
+    with pytest.raises(ValueError, match="certificate spells more than"):
+        certificate_word(p, many)
+
+
+def test_certificate_json_caps_the_conjugator_letters_in_all():
+    a = Alphabet.of("x")
+    half = {"conj": f"x^{MAX_WORD_LETTERS // 2}", "rel": 0, "sign": 1}
+    assert len(TrivialityCertificate.from_json(a, [half, half]).factors) == 2
+    with pytest.raises(ValueError, match=f"certificate factor 2: conjugators pass {MAX_WORD_LETTERS} letters"):
+        TrivialityCertificate.from_json(a, [half, half, {"conj": "x", "rel": 0, "sign": 1}])
 
 
 # ---------------------------------------------------------------- the certificate stream

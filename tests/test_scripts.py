@@ -46,3 +46,6 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["search.iso_pinned"]["units"] == 6018
     assert run["layers"]["search.hom_doubling"]["steps"] == 744
     assert run["layers"]["stream.bs23_744"]["emissions_per_s"] > 0
+    assert run["layers"]["semidecide.trivial_300th"]["steps"] == 300  # first emitted there
+    assert run["layers"]["search.verify_pinned"]["verified"] is True
+    assert run["layers"]["search.verify_pinned"]["ms"] > 0

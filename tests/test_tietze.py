@@ -27,7 +27,6 @@ from fpw.tietze import (
     check_move,
     move_to_json,
     parse_move,
-    parse_sequence,
     presentation_hash,
 )
 from fpw.words import Alphabet, parse_word
@@ -275,28 +274,37 @@ def test_parse_move_rejects_unknown_op():
         parse_move(X2, {"op": "frobnicate"})
 
 
-def test_parse_sequence_threads_alphabets():
-    # the second move's word parses over the alphabet produced by the first
+def test_apply_sequence_threads_alphabets_of_json_moves():
+    # later moves parse over the alphabet the first one produced
     free = parse_presentation("< x | >")
+    xy = parse_presentation("< x, y | y x^-2 >")
+    cert = TrivialityCertificate((CertFactor(parse_word(xy.generators, ""), 0, 1),))
     data = [
         {"op": "add_gen", "name": "y", "definition": "x x"},
+        {"op": "add_rel", "word": "y x^-2", "cert": cert.to_json()},
+        {"op": "rem_rel", "index": 1, "cert": cert.to_json()},
         {"op": "rem_gen", "name": "y", "index": 0},
     ]
-    moves = parse_sequence(free, data)
-    assert moves[0] == AddGenerator("y", xw("x x"))
-    assert moves[1] == RemoveGenerator("y", 0)
-    result, _ = apply_sequence(free, moves)
+    result, log = apply_sequence(free, data)
     assert result == free
+    moves = [
+        AddGenerator("y", xw("x x")),
+        AddRelator(xy.relators[0], cert),
+        RemoveRelator(1, cert),
+        RemoveGenerator("y", 0),
+    ]
+    assert [json.loads(e.move_json) for e in log.entries] == [move_to_json(m) for m in moves]
+    assert apply_sequence(free, moves[:2] + data[2:])[1] == log
 
 
-def test_parse_sequence_reports_step_on_bad_json():
+def test_apply_sequence_reports_step_on_bad_json_move():
     free = parse_presentation("< x | >")
     data = [
         {"op": "add_gen", "name": "y", "definition": "x x"},
         {"op": "rem_gen", "name": "z", "index": 0},
     ]
     with pytest.raises(TietzeError) as err:
-        parse_sequence(free, data)
+        apply_sequence(free, data)
     assert err.value.step == 1
 
 
