@@ -11,7 +11,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     per side, which exhausts (ms);
   * ``semidecide_homomorphism`` for the doubling map (ms);
   * ``semidecide_trivial`` on the word of BS(2,3)'s 300th emission (ms);
-  * ``verify_iso_witness`` on the pinned pair's witness at budget 2000 (ms).
+  * ``verify_iso_witness`` on the pinned pair's witness at budget 2000 (ms);
+  * in-process ``fpw check-cert`` on a one-factor BS(2,3) certificate and
+    ``fpw demo non-hopfian``, stdout captured (ms).
 
 The results go under ``--label`` in the output file, next to what other
 labels it already holds, so one file can carry a parent and a change run
@@ -22,6 +24,8 @@ layer that raises is written as null and its traceback goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -30,6 +34,7 @@ import time
 import traceback
 from pathlib import Path
 
+from fpw import cli
 from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation, doubling_map
 from fpw.presentations import FinitePresentation, parse_presentation, semidecide_trivial, trivial_word_stream
 from fpw.search import (
@@ -89,10 +94,26 @@ def measure(repeat: int) -> dict:
         secs, ok = best_of(repeat, lambda: verify_iso_witness(bs, variant, witness, 2000))
         return {"ms": secs * 1e3, "verified": ok}
 
+    def cli_call(*argv):
+        def call():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(argv))
+            return code, out.getvalue()
+
+        def run():
+            secs, (code, out) = best_of(repeat, call)
+            return {"ms": secs * 1e3, "exit": code, "last_line": out.splitlines()[-1]}
+        return run
+
+    cert = json.dumps([{"conj": "s", "rel": 0, "sign": 1}])
+    check_cert = cli_call("check-cert", "-p", bs.format(), "s s^-1 t^2 s t^-3 s^-1", "--cert", cert)
+
     layers = {}
     for name, run in [("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
-                      ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned)]:
+                      ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
+                      ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian"))]:
         try:
             layers[name] = run()
         except Exception:  # a broken layer is recorded as null, never a failed run

@@ -89,6 +89,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _HandOff(Exception):
+    """A usage error met by a one-row parser, for the full tree to report."""
+
+
+class _RowParser(_Parser):
+    """A parser for only the rows a call names.  Its top-level usage would
+    list just those rows, so every usage error goes to the full tree."""
+
+    def error(self, message):
+        raise _HandOff
+
+
 def _alphabet(text: str) -> Alphabet:
     return Alphabet.of(*(p.strip() for p in text.split(",")))
 
@@ -466,10 +478,11 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fpw", description="finitely presented group workbench")
+def build_parser(rows=_COMMANDS, parser_class=_Parser) -> _Parser:
+    """The parser for ``rows`` of the command table; by default the full tree."""
+    parser = parser_class(prog="fpw", description="finitely presented group workbench")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, summary, func, arguments in _COMMANDS:
+    for name, summary, func, arguments in rows:
         group, _, leaf = name.rpartition(" ")
         p = groups[group].add_parser(leaf, help=summary)
         for flags, kw in arguments:
@@ -481,8 +494,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _own_rows(argv: list[str]) -> list[tuple]:
+    """The rows on the path to the leaf command ``argv`` names, group first;
+    empty when it names no leaf."""
+    rows = [row for row in _COMMANDS if row[0].split() == argv[: row[0].count(" ") + 1]]
+    return rows if rows and rows[-1][2] is not None else []
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the rows ``argv`` names: building the other subparsers
+    costs far more than parsing.  Help with no leaf, unknown names and every
+    usage error go through the full tree, so their output is its own.  No
+    parser outlives the call."""
+    rows = _own_rows(argv)
+    if rows:
+        try:
+            return build_parser(rows, _RowParser).parse_args(argv)
+        except _HandOff:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     # word, presentation and JSON syntax errors are ValueErrors

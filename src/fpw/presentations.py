@@ -20,7 +20,9 @@ from .words import (
     ShortlexWords,
     Word,
     WordParseError,
+    WordTooLong,
     _inverse,
+    _spell,
     _word,
     format_word,
     invert,
@@ -198,7 +200,7 @@ class TrivialityCertificate:
         if not isinstance(data, list):
             raise ValueError("certificate must be a JSON list of factors")
         factors = []
-        letters = 0
+        spelled = 0  # conjugator letters as written, before reduction: what parsing costs
         for k, item in enumerate(data):
             where = f"certificate factor {k}"
             if not isinstance(item, dict):
@@ -206,10 +208,12 @@ class TrivialityCertificate:
             conj = _json_field(item, "conj", str, where)
             rel = _json_field(item, "rel", int, where)
             sign = _json_field(item, "sign", int, where)
-            factors.append(CertFactor(parse_word(alphabet, conj), rel, sign))
-            letters += len(factors[-1].conjugator)
-            if letters > MAX_WORD_LETTERS:
-                raise ValueError(f"{where}: conjugators pass {MAX_WORD_LETTERS} letters in all")
+            try:
+                codes = _spell(alphabet, conj, max_letters=MAX_WORD_LETTERS - spelled)
+            except WordTooLong:
+                raise ValueError(f"{where}: conjugators pass {MAX_WORD_LETTERS} letters in all") from None
+            spelled += len(codes)
+            factors.append(CertFactor(_word(alphabet, codes), rel, sign))
         return cls(tuple(factors))
 
     def __str__(self) -> str:

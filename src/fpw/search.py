@@ -191,6 +191,16 @@ class _Side:
         self.pulled = 0
         self.ended = False
         self._stream = trivial_word_stream(pres)
+        self._maps: dict[tuple[Alphabet, int], tuple[GeneratorMap, list[tuple[int, ...]]]] = {}
+
+    def map_from(self, domain: Alphabet, a: int) -> tuple[GeneratorMap, list[tuple[int, ...]]]:
+        """Candidate map ``a`` from ``domain`` into this side's words, with the
+        exponent vector of each image, decoded once for the life of the side."""
+        hit = self._maps.get((domain, a))
+        if hit is None:
+            phi = _map_at(domain, self.words, a)
+            hit = self._maps[domain, a] = (phi, [exponent_vector(phi.codomain, img) for img in phi.images])
+        return hit
 
     @property
     def full(self) -> bool:
@@ -232,9 +242,8 @@ class _PairScanner:
         a, b = cantor_unpair(self.next_pair)
         self.next_pair += 1
         left, right = self.left, self.right
-        phi = _map_at(left.pres.generators, right.words, a)
-        psi = _map_at(right.pres.generators, left.words, b)
-        m_phi, m_psi = ([exponent_vector(m.codomain, img) for img in m.images] for m in (phi, psi))
+        phi, m_phi = right.map_from(left.pres.generators, a)
+        psi, m_psi = left.map_from(right.pres.generators, b)
         if not (left.abelian.passes(right.relator_vectors, m_phi, m_psi)
                 and right.abelian.passes(left.relator_vectors, m_psi, m_phi)):
             return None, 0

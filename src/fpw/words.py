@@ -8,6 +8,7 @@ returns words in freely reduced form.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -249,6 +250,16 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
     positions, for callers embedding word syntax in a larger grammar.  More
     than ``MAX_WORD_LETTERS`` letters before reduction is an error.
     """
+    return _word(alphabet, _spell(alphabet, text, offset=offset))
+
+
+class WordTooLong(WordParseError):
+    """Word text that spells more letters than its reader allows."""
+
+
+def _spell(alphabet: Alphabet, text: str, *, offset: int = 0, max_letters: int = MAX_WORD_LETTERS) -> list[int]:
+    """The letter codes of word text as written, before free reduction.  A
+    letter past the ``max_letters``-th raises WordTooLong before it is spelled."""
     codes: list[int] = []
     for tok in re.finditer(r"\S+", text):
         token, pos = tok.group(), offset + tok.start()
@@ -266,10 +277,10 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
             code = alphabet.code(name)
         except ValueError:
             raise WordParseError(f"unknown generator {name!r}", pos) from None
-        if len(codes) + abs(k) > MAX_WORD_LETTERS:
-            raise WordParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
+        if len(codes) + abs(k) > max_letters:
+            raise WordTooLong(f"word longer than {max_letters} letters", pos)
         codes.extend([code if k > 0 else -code] * abs(k))
-    return _word(alphabet, codes)
+    return codes
 
 
 def format_word(w: Word) -> str:
@@ -302,6 +313,9 @@ class ShortlexWords:
         self.alphabet = alphabet
         self._order = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
         self._levels: list[list[Word]] = [[_word(alphabet, ())]]
+        # _starts[n]: position of the first word of length n; the last entry
+        # is the count of words built
+        self._starts = [0, 1]
 
     def of_length(self, n: int) -> list[Word]:
         """Every reduced word of length ``n``, in shortlex order."""
@@ -312,15 +326,15 @@ class ShortlexWords:
                 for c in self._order
                 if not w.codes or c != -w.codes[-1]
             ])
+            self._starts.append(self._starts[-1] + len(self._levels[-1]))
         return self._levels[n]
 
     def __getitem__(self, i: int) -> Word:
         """The word at position ``i`` (from 0) of the shortlex order."""
-        for n in itertools.count():
-            level = self.of_length(n)
-            if i < len(level):
-                return level[i]
-            i -= len(level)
+        while self._starts[-1] <= i:
+            self.of_length(len(self._levels))
+        n = bisect.bisect_right(self._starts, i) - 1
+        return self._levels[n][i - self._starts[n]]
 
 
 def shortlex_stream(alphabet: Alphabet) -> Iterator[Word]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpw import cli
 from fpw.cli import _COMMANDS, EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 BS_TEXT = "< s, t | s^-1 t^2 s = t^3 >"
@@ -359,6 +360,17 @@ def test_check_cert_with_huge_conjugators_is_a_bounded_domain_error():
     assert proc.stderr == "error: certificate factor 1: conjugators pass 1048576 letters in all\n"
 
 
+def test_check_cert_spelling_cancelling_conjugators_is_a_bounded_domain_error():
+    # each conjugator reduces to nothing, but spelling all 40 would write 40 * 2^20
+    # letters; the cap counts them as written, so factor 1 is refused at once
+    cert = json.dumps([{"conj": "s^524288 s^-524288", "rel": 0, "sign": 1}] * 40)
+    start = time.perf_counter()
+    proc = _run_cli_process(["check-cert", "-p", BS_TEXT, "t", "--cert", cert], 30)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
+    assert proc.stderr == "error: certificate factor 1: conjugators pass 1048576 letters in all\n"
+
+
 def test_recover_card_reads_levels_past_the_witness_family_cap():
     # the linear witnesses v_j stay short, so no k_max is too large
     proc = _run_cli_process(["demo", "recover-card", "--kmax", "40"], timeout=30)
@@ -561,3 +573,40 @@ def test_fuzzed_argv_ends_in_an_exit_code(argv):
         except SystemExit as err:
             code = err.code
     assert code in {EXIT_OK, EXIT_DOMAIN, EXIT_BUDGET, EXIT_USAGE}
+
+
+def _parse_outcome(parse, argv):
+    """What parsing ``argv`` leaves: its Namespace, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exit_:
+            return exit_.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=2000)
+@given(_fuzz_argv(), st.sampled_from([[], [], ["-h"], ["--json"], ["--no-such-flag"], ["extra"], ["-i", "x"]]))
+def test_one_row_parse_matches_the_full_tree(argv, tail):
+    # the full tree is the oracle: the same Namespace, or the same usage error
+    # (or help) byte for byte
+    argv = argv + tail
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+def test_a_call_builds_only_the_subparsers_it_names(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    cert = json.dumps([{"conj": "", "rel": 0, "sign": 1}])
+    assert main(["check-cert", "-p", BS_TEXT, "s^-1 t^2 s t^-3", "--cert", cert]) == EXIT_OK
+    assert built == ["check-cert"]
+    built.clear()
+    assert main(["demo", "non-hopfian"]) == EXIT_OK
+    assert built == ["demo", "non-hopfian"]
+    capsys.readouterr()

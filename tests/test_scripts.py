@@ -49,3 +49,9 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["semidecide.trivial_300th"]["steps"] == 300  # first emitted there
     assert run["layers"]["search.verify_pinned"]["verified"] is True
     assert run["layers"]["search.verify_pinned"]["ms"] > 0
+    assert run["layers"]["cli.check_cert"]["exit"] == 0
+    assert run["layers"]["cli.check_cert"]["last_line"] == "valid"
+    assert run["layers"]["cli.check_cert"]["ms"] > 0
+    assert run["layers"]["cli.demo_non_hopfian"]["exit"] == 0
+    assert run["layers"]["cli.demo_non_hopfian"]["last_line"].startswith("conclusion: ")
+    assert run["layers"]["cli.demo_non_hopfian"]["ms"] > 0

@@ -9,6 +9,7 @@ from fpw.words import (
     Generator,
     GeneratorMap,
     Letter,
+    ShortlexWords,
     Word,
     WordParseError,
     commutator,
@@ -210,6 +211,26 @@ def test_shortlex_is_nondecreasing_and_duplicate_free():
         if prev_key is not None:
             assert key > prev_key
         prev_key = key
+
+
+def _walk_index(words, i):
+    """Position lookup by walking the levels from length 0 (the reference for
+    ShortlexWords.__getitem__)."""
+    for n in itertools.count():
+        level = words.of_length(n)
+        if i < len(level):
+            return level[i]
+        i -= len(level)
+
+
+def test_shortlex_index_matches_the_level_walk():
+    # one instance read in order, one in a scrambled order that builds levels
+    # on demand and revisits shorter ones
+    reference, ordered, scrambled = ShortlexWords(ST), ShortlexWords(ST), ShortlexWords(ST)
+    expected = [_walk_index(reference, i) for i in range(5000)]
+    assert [ordered[i] for i in range(5000)] == expected
+    for i in sorted(range(5000), key=lambda i: (i * 7919) % 5000):
+        assert scrambled[i] == expected[i]
 
 
 @pytest.mark.parametrize("names,max_len", [(("t",), 4), (("s", "t"), 3)])
