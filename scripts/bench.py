@@ -13,7 +13,11 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
   * ``semidecide_trivial`` on the word of BS(2,3)'s 300th emission (ms);
   * ``verify_iso_witness`` on the pinned pair's witness at budget 2000 (ms);
   * in-process ``fpw check-cert`` on a one-factor BS(2,3) certificate and
-    ``fpw demo non-hopfian``, stdout captured (ms).
+    ``fpw demo non-hopfian``, stdout captured (ms);
+  * last, a fresh re-import of ``fpw`` and ``fpw.cli`` after dropping every
+    ``fpw`` module from ``sys.modules``, as the benchmark does on each pass
+    (ms), and the KB one more re-import holds under tracemalloc once its
+    garbage is collected.
 
 The results go under ``--label`` in the output file, next to what other
 labels it already holds, so one file can carry a parent and a change run
@@ -25,13 +29,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib
 import io
 import itertools
 import json
 import os
 import platform
+import sys
 import time
 import traceback
+import tracemalloc
 from pathlib import Path
 
 from fpw import cli
@@ -109,11 +117,30 @@ def measure(repeat: int) -> dict:
     cert = json.dumps([{"conj": "s", "rel": 0, "sign": 1}])
     check_cert = cli_call("check-cert", "-p", bs.format(), "s s^-1 t^2 s t^-3 s^-1", "--cert", cert)
 
+    def reimport():
+        def load():
+            for name in [m for m in sys.modules if m == "fpw" or m.startswith("fpw.")]:
+                del sys.modules[name]
+            importlib.import_module("fpw")
+            importlib.import_module("fpw.cli")
+
+        secs, _ = best_of(repeat, load)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return {"ms": secs * 1e3, "kb_held": held / 1024}
+
     layers = {}
     for name, run in [("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
-                      ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian"))]:
+                      ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),
+                      ("import.fpw_cli", reimport)]:  # last: it replaces the modules the others use
         try:
             layers[name] = run()
         except Exception:  # a broken layer is recorded as null, never a failed run

@@ -11,13 +11,11 @@ from .words import (
     Alphabet,
     Generator,
     GeneratorMap,
-    Letter,
     Word,
     WordParseError,
     commutator,
     concat,
     format_word,
-    free_reduce,
     invert,
     parse_word,
     shortlex_stream,

@@ -13,8 +13,7 @@ what makes this a decision procedure rather than a semi-decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .presentations import FinitePresentation
 from .words import (
@@ -32,23 +31,21 @@ from .words import (
 ST = Alphabet.of("s", "t")
 
 
-@dataclass(frozen=True)
-class BSParams:
+class BSParams(NamedTuple("BSParams", [("m", int), ("n", int)])):
     """Parameters of BS(m,n); both must be at least 1."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"BS parameters must be >= 1, got ({self.m}, {self.n})")
+    def __new__(cls, m: int, n: int):
+        if m < 1 or n < 1:
+            raise ValueError(f"BS parameters must be >= 1, got ({m}, {n})")
+        return tuple.__new__(cls, (m, n))
 
 
 BS23 = BSParams(2, 3)
 
 
-@dataclass(frozen=True)
-class SyllableWord:
+class SyllableWord(NamedTuple("SyllableWord", [("t_runs", tuple), ("s_signs", tuple)])):
     """Alternating form: t_runs[0] s^{s_signs[0]} t_runs[1] ... t_runs[k].
 
     Normalized on construction: an interior zero t-run between s-letters of
@@ -56,24 +53,20 @@ class SyllableWord:
     s-letters of equal sign is kept, since s^e t^0 s^e is just s^(2e).
     """
 
-    t_runs: tuple[int, ...]
-    s_signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.t_runs) != len(self.s_signs) + 1:
+    def __new__(cls, t_runs: tuple[int, ...], s_signs: tuple[int, ...]):
+        if len(t_runs) != len(s_signs) + 1:
             raise ValueError("need exactly one more t-run than s-letters")
-        if any(e not in (1, -1) for e in self.s_signs):
+        if any(e not in (1, -1) for e in s_signs):
             raise ValueError("s-letter signs must be +1 or -1")
-        runs, signs, _ = _pinch(self.t_runs, self.s_signs, 0, 0)
-        object.__setattr__(self, "t_runs", runs)
-        object.__setattr__(self, "s_signs", signs)
+        runs, signs, _ = _pinch(t_runs, s_signs, 0, 0)
+        return cls._normal(runs, signs)
 
     @classmethod
     def _normal(cls, runs: tuple[int, ...], signs: tuple[int, ...]) -> "SyllableWord":
         """Trusted constructor for runs free of cancellations: a reduced word's, or ``_pinch``'s."""
-        sw = object.__new__(cls)
-        sw.__dict__.update(t_runs=runs, s_signs=signs)
-        return sw
+        return tuple.__new__(cls, (runs, signs))
 
     @property
     def s_count(self) -> int:

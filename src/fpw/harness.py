@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .bs import BS23, ST, bs_presentation, in_kernel, kernel_stream
 from .presentations import RecursivePresentation
-from .words import Word, commutator
+from .words import Word, _word
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -70,7 +69,6 @@ def compress_stream(source: Iterable[int]) -> Iterator[int]:
             yield len(seen) - 1
 
 
-@dataclass(frozen=True)
 class ExplicitFiniteSet:
     """A finite set of naturals, stored sorted and duplicate-free.
 
@@ -78,13 +76,14 @@ class ExplicitFiniteSet:
     empty set.
     """
 
-    elements: tuple[int, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        if any(x < 0 for x in self.elements):
+    def __init__(self, elements: tuple[int, ...]):
+        if any(x < 0 for x in elements):
             raise ValueError("elements must be naturals")
-        if list(self.elements) != sorted(set(self.elements)):
+        if list(elements) != sorted(set(elements)):
             raise ValueError("elements must be strictly increasing; use .of()")
+        self.elements = elements
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "ExplicitFiniteSet":
@@ -105,6 +104,17 @@ class ExplicitFiniteSet:
 
     def __contains__(self, x: int) -> bool:
         return x in self.elements
+
+    def __eq__(self, other):
+        if other.__class__ is not ExplicitFiniteSet:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
+    def __repr__(self) -> str:
+        return f"ExplicitFiniteSet(elements={self.elements!r})"
 
 
 def tower_oracle(k: int) -> Callable[[Word], bool]:
@@ -140,11 +150,13 @@ def quotient_tower_presentation(W: ExplicitFiniteSet) -> RecursivePresentation:
 
 
 def _linear_witness(j: int) -> Word:
-    """v_j = [s^-j t s^j, t], with 4j + 4 letters (v_0 is empty).  Its image
-    under f^k is [s^-j t^(2^k) s^j, t^(2^k)], trivial in BS(2,3) exactly when
-    j <= k, so v_j dies at tower level j and not before."""
-    s, t = ST.gen_word("s"), ST.gen_word("t")
-    return commutator(~s**j * t * s**j, t)
+    """v_j = [s^-j t s^j, t] = s^-j t s^j t s^-j t^-1 s^j t^-1, with 4j + 4
+    letters (v_0 is empty).  Its image under f^k is [s^-j t^(2^k) s^j, t^(2^k)],
+    trivial in BS(2,3) exactly when j <= k, so v_j dies at tower level j and
+    not before."""
+    s, t = ST.code("s"), ST.code("t")
+    out, back = (-s,) * j, (s,) * j
+    return _word(ST, out + (t,) + back + (t,) + out + (-t,) + back + (-t,))
 
 
 def recover_cardinality(oracle: Callable[[Word], bool], k_max: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .words import (
@@ -30,22 +29,21 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class FinitePresentation:
+class FinitePresentation(NamedTuple("FinitePresentation", [("generators", Alphabet), ("relators", tuple)])):
     """A finite presentation: an alphabet plus a finite tuple of relators.
 
     Relators are stored freely reduced, in the order given.  The empty relator
     is permitted in storage (it presents nothing) but the parser drops it.
     """
 
-    generators: Alphabet
-    relators: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.relators:
-            if r.alphabet != self.generators:
+    def __new__(cls, generators: Alphabet, relators: tuple[Word, ...]):
+        relators = tuple(relators)
+        for r in relators:
+            if r.alphabet != generators:
                 raise ValueError("relator is not a word over the presentation's generators")
-        object.__setattr__(self, "relators", tuple(self.relators))
+        return tuple.__new__(cls, (generators, relators))
 
     def format(self) -> str:
         gens = ", ".join(self.generators.names())
@@ -62,8 +60,7 @@ class FinitePresentation:
         return self.format()
 
 
-@dataclass(frozen=True)
-class RecursivePresentation:
+class RecursivePresentation(NamedTuple):
     """A presentation whose relators arrive from a pull-based stream.
 
     ``relator_source`` returns a fresh iterator of relator words each time it
@@ -169,8 +166,7 @@ class CertFactor(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class TrivialityCertificate:
+class TrivialityCertificate(NamedTuple("TrivialityCertificate", [("factors", tuple)])):
     """A product of conjugated relators: prod_i  c_i r_{j_i}^{e_i} c_i^-1.
 
     A word equals such a product (after free reduction) exactly when it is
@@ -179,14 +175,15 @@ class TrivialityCertificate:
     where rel may be EMPTY_RELATOR_INDEX (-1) for the empty relator.
     """
 
-    factors: tuple[CertFactor, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __new__(cls, factors: tuple[CertFactor, ...]):
+        for f in factors:
             if f.sign not in (1, -1):
                 raise ValueError(f"certificate sign must be +1 or -1, got {f.sign}")
             if f.relator_index < EMPTY_RELATOR_INDEX:
                 raise ValueError(f"negative relator index: {f.relator_index}")
+        return tuple.__new__(cls, (factors,))
 
     def to_json(self) -> list[dict]:
         return [
@@ -380,14 +377,12 @@ def unique_words(
             yield w, cert
 
 
-@dataclass(frozen=True)
-class ProvedTrivial:
+class ProvedTrivial(NamedTuple):
     certificate: TrivialityCertificate
     steps: int
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     steps: int
 
 
@@ -437,19 +432,17 @@ def semidecide_trivial(
 # abelianization via integer Smith normal form
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("entries", tuple)])):
     """An immutable integer matrix with explicit shape (entries are exact ints)."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entries do not match declared shape")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":

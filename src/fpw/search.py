@@ -27,8 +27,8 @@ each presentation's certificate stream once and reads every pair off it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from .harness import cantor_unpair, cantor_untuple
 from .presentations import (
@@ -48,18 +48,16 @@ WordOracle = Callable[[Word], bool]
 """A total decision procedure for one group's word problem."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_candidates: int
-    max_stream_steps: int
+class SearchBudget(NamedTuple("SearchBudget", [("max_candidates", int), ("max_stream_steps", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_candidates < 0 or self.max_stream_steps < 0:
+    def __new__(cls, max_candidates: int, max_stream_steps: int):
+        if max_candidates < 0 or max_stream_steps < 0:
             raise ValueError("budgets must be >= 0")
+        return tuple.__new__(cls, (max_candidates, max_stream_steps))
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """A claimed isomorphism: generator maps in both directions."""
 
     forward: GeneratorMap
@@ -69,23 +67,20 @@ class IsoWitness:
         return {"forward": self.forward.format(), "backward": self.backward.format()}
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(NamedTuple):
     """Homomorphism obligations discharged; one certificate per relator."""
 
     certificates: tuple[TrivialityCertificate, ...]
     steps: int
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(NamedTuple):
     witness: IsoWitness
     pair_index: int
     steps: int
 
 
-@dataclass(frozen=True)
-class SubgroupFound:
+class SubgroupFound(NamedTuple):
     k: int
     presentation: FinitePresentation
     witness: IsoWitness
@@ -354,8 +349,7 @@ def subgroup_presentation_search(
     return Exhausted(units)
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(NamedTuple):
     """The generator map W_i -> gens[i] together with what was verified.
 
     Only the homomorphism direction is checked; nothing here certifies

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .presentations import (
     FinitePresentation,
@@ -56,26 +55,22 @@ class IndexOutOfRange(TietzeError):
     pass
 
 
-@dataclass(frozen=True)
-class AddRelator:
+class AddRelator(NamedTuple):
     word: Word
     certificate: TrivialityCertificate | None = None
 
 
-@dataclass(frozen=True)
-class RemoveRelator:
+class RemoveRelator(NamedTuple):
     index: int
     certificate: TrivialityCertificate | None = None
 
 
-@dataclass(frozen=True)
-class AddGenerator:
+class AddGenerator(NamedTuple):
     name: str
     definition: Word
 
 
-@dataclass(frozen=True)
-class RemoveGenerator:
+class RemoveGenerator(NamedTuple):
     name: str
     index: int
 
@@ -167,8 +162,7 @@ def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation
     raise TypeError(f"not a Tietze move: {move!r}")
 
 
-@dataclass(frozen=True)
-class MoveLogEntry:
+class MoveLogEntry(NamedTuple):
     """One applied move with hashes of the presentations on either side."""
 
     move_json: str
@@ -176,8 +170,7 @@ class MoveLogEntry:
     after_hash: str
 
 
-@dataclass(frozen=True)
-class MoveLog:
+class MoveLog(NamedTuple):
     entries: tuple[MoveLogEntry, ...]
 
     @property
@@ -273,18 +266,15 @@ def apply_sequence(
     return current, MoveLog(tuple(entries))
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(NamedTuple):
     certificate: TrivialityCertificate | None
 
 
-@dataclass(frozen=True)
-class Invalid:
+class Invalid(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class Unverifiable:
+class Unverifiable(NamedTuple):
     budget: int
 
 

@@ -2,8 +2,8 @@
 
 Words are tuples of integer letter codes, +-(generator index + 1), the way
 GAP and kbmag store them.  Letters are validated where they enter (parsing,
-``Word(alphabet, letters)``, ``GeneratorMap``); every public operation
-returns words in freely reduced form.
+``GeneratorMap``, certificate JSON); every public operation returns words in
+freely reduced form.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 # characters that would collide with the word / presentation / map grammars
@@ -29,56 +27,39 @@ def _valid_name(name: str) -> bool:
     return not any(c.isspace() or c in _FORBIDDEN_CHARS for c in name)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple("Generator", [("name", str)])):
     """A named generator.
 
     Names are nonempty ASCII without whitespace or any of ``^ , | < > =``.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _valid_name(self.name):
-            raise ValueError(f"invalid generator name: {self.name!r}")
+    def __new__(cls, name: str):
+        if not _valid_name(name):
+            raise ValueError(f"invalid generator name: {name!r}")
+        return tuple.__new__(cls, (name,))
 
     def __repr__(self):
         return f"Generator({self.name!r})"
 
 
-class Letter(NamedTuple):
-    gen: Generator
-    sign: int
-
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
-
-@dataclass(frozen=True)
 class Alphabet:
     """An ordered, duplicate-free, nonempty tuple of generators."""
 
-    generators: tuple[Generator, ...]
+    __slots__ = ("generators", "_codes")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[Generator, ...]):
+        if not generators:
             raise ValueError("alphabet must contain at least one generator")
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names: {names}")
+        self._codes = {g.name: i + 1 for i, g in enumerate(generators)}
+        if len(self._codes) != len(generators):
+            raise ValueError(f"duplicate generator names: {[g.name for g in generators]}")
+        self.generators = generators
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
         return cls(tuple(Generator(n) for n in names))
-
-    @cached_property
-    def _codes(self) -> dict[str, int]:
-        return {g.name: i + 1 for i, g in enumerate(self.generators)}
-
-    @cached_property
-    def ordered_letters(self) -> tuple[Letter, ...]:
-        """Letters in declaration order, each generator followed by its inverse."""
-        return tuple(Letter(g, sign) for g in self.generators for sign in (1, -1))
 
     def code(self, name: str) -> int:
         """The letter code of generator ``name``: its position, counted from 1."""
@@ -89,9 +70,6 @@ class Alphabet:
 
     def gen(self, name: str) -> Generator:
         return self.generators[self.code(name) - 1]
-
-    def letter_rank(self, letter: Letter) -> int:
-        return self.ordered_letters.index(letter)
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
@@ -112,9 +90,21 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.generators)
 
+    def __eq__(self, other):
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash(self.generators)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(generators={self.generators!r})"
+
 
 def _rank(code: int) -> int:
-    """Position of a letter code in the order 1, -1, 2, -2, ... (ordered_letters)."""
+    """Position of a letter code in the order 1, -1, 2, -2, ...: each generator
+    in declaration order, followed by its inverse."""
     return 2 * code - 2 if code > 0 else -2 * code - 1
 
 
@@ -122,35 +112,19 @@ class Word:
     """A word over a fixed alphabet, stored freely reduced as letter codes.
 
     ``codes`` holds +-(i + 1) for generator i of the word's own alphabet or
-    its inverse.  ``Word(alphabet, letters)`` validates ``Letter``s and
-    reduces; every other word is built from words already valid.  Equality
+    its inverse.  There is no public constructor: letters enter through
+    ``parse_word``, ``GeneratorMap`` and ``TrivialityCertificate.from_json``,
+    and every other word is built from words already valid.  Equality
     compares alphabet and codes; the hash is that of the codes.
     """
 
     __slots__ = ("alphabet", "codes")
-
-    def __init__(self, alphabet: Alphabet, letters: Iterable[Letter]):
-        codes = []
-        for let in letters:
-            if let.sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {let.sign}")
-            if let.gen not in alphabet:
-                raise ValueError(f"letter {let.gen.name!r} is not in the alphabet")
-            codes.append(alphabet.code(let.gen.name) * let.sign)
-        _set_alphabet(self, alphabet)
-        _set_codes(self, _reduce(codes))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
     def __reduce__(self):
         return _word, (self.alphabet, self.codes)
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        """The codes as ``Letter``s, for tests and scripts; no hot path reads it."""
-        ordered = self.alphabet.ordered_letters
-        return tuple(ordered[_rank(c)] for c in self.codes)
 
     @property
     def is_identity(self) -> bool:
@@ -211,11 +185,6 @@ def _word(alphabet: Alphabet, codes: Iterable[int]) -> Word:
     w = object.__new__(Word)
     _set_alphabet(w, alphabet)
     _set_codes(w, _reduce(codes))
-    return w
-
-
-def free_reduce(w: Word) -> Word:
-    """Return the unique freely reduced form of ``w`` (every ``Word`` is stored so)."""
     return w
 
 
@@ -342,26 +311,22 @@ def shortlex_stream(alphabet: Alphabet) -> Iterator[Word]:
     return itertools.chain.from_iterable(map(ShortlexWords(alphabet).of_length, itertools.count()))
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(NamedTuple("GeneratorMap", [("domain", Alphabet), ("codomain", Alphabet), ("images", tuple)])):
     """A map sending each generator of ``domain`` to a word over ``codomain``.
 
     Images are stored in the domain's declaration order.  Text syntax is
     comma-separated ``gen=word`` clauses, e.g. ``s=s,t=t^2``.
     """
 
-    domain: Alphabet
-    codomain: Alphabet
-    images: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != len(self.domain.generators):
-            raise ValueError(
-                f"expected {len(self.domain.generators)} images, got {len(self.images)}"
-            )
-        for img in self.images:
-            if img.alphabet != self.codomain:
+    def __new__(cls, domain: Alphabet, codomain: Alphabet, images: tuple[Word, ...]):
+        if len(images) != len(domain.generators):
+            raise ValueError(f"expected {len(domain.generators)} images, got {len(images)}")
+        for img in images:
+            if img.alphabet != codomain:
                 raise ValueError("image word is not over the codomain alphabet")
+        return tuple.__new__(cls, (domain, codomain, images))
 
     def image(self, gen: Generator) -> Word:
         if gen not in self.domain:
@@ -402,12 +367,20 @@ class GeneratorMap:
 
 
 def substitute(w: Word, m: GeneratorMap) -> Word:
-    """Replace every letter of ``w`` by its image under ``m`` and reduce."""
+    """Replace every letter of ``w`` by its image under ``m`` and reduce.
+
+    Spelling out more than ``MAX_WORD_LETTERS`` letters before reduction is
+    a ValueError, raised before any image is copied.
+    """
     if w.alphabet != m.domain:
         raise ValueError("word alphabet does not match map domain (unmapped generator)")
     images = {}
     for i, img in enumerate(m.images, 1):
         images[i], images[-i] = img.codes, _inverse(img.codes)
+    # |w| times the longest image bounds the spelled length; past it, sum exactly
+    if len(w.codes) * max(map(len, m.images)) > MAX_WORD_LETTERS:
+        if sum(map(len, map(images.__getitem__, w.codes))) > MAX_WORD_LETTERS:
+            raise ValueError(f"substitution spells more than {MAX_WORD_LETTERS} letters")
     pieces: list[int] = []
     for c in w.codes:
         pieces += images[c]

@@ -136,7 +136,7 @@ def test_criterion_03_solver_vs_certificate_oracle():
     sample = []
     while len(sample) < 500:
         word = certificate_word(BS_PRES, random_certificate(rng, BS_PRES, 4, 4))
-        if len(word.letters) <= 10:
+        if len(word.codes) <= 10:
             sample.append(word)
     judged = all(bs_is_trivial(BS23, word) for word in sample)
 
@@ -296,14 +296,14 @@ def test_criterion_10_subgroup_presentation_search():
 def _removable_generators(pres):
     out = []
     for idx, rel in enumerate(pres.relators):
-        if not rel.letters:
+        if not rel.codes:
             continue
-        first = rel.letters[0]
-        if first.sign != 1:
+        first = rel.codes[0]
+        if first < 0:
             continue
-        if any(l.gen == first.gen for l in rel.letters[1:]):
+        if any(abs(c) == first for c in rel.codes[1:]):
             continue
-        out.append((first.gen.name, idx))
+        out.append((pres.generators.generators[first - 1].name, idx))
     return out
 
 

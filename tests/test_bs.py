@@ -126,7 +126,7 @@ def test_pinch_count_accounts_for_all_lost_s_letters():
     letters = ["s", "s^-1", "t", "t^-1"]
     for _ in range(150):
         word = w(" ".join(rng.choice(letters) for _ in range(rng.randint(0, 20))))
-        before = sum(1 for let in word.letters if let.gen.name == "s")
+        before = sum(1 for c in word.codes if abs(c) == ST.code("s"))
         reduced, pinches = britton_reduce_counted(BS23, word)
         assert (before - reduced.s_count) % 2 == 0
         assert pinches == (before - reduced.s_count) // 2
@@ -355,7 +355,7 @@ def test_w_family_base_cases():
 
 def test_w_family_second_member_frozen():
     assert w_family(2) == w(W2_TEXT)
-    assert len(w_family(2).letters) == 16
+    assert len(w_family(2).codes) == 16
 
 
 def test_w_family_recursion_is_substitution():
@@ -381,8 +381,8 @@ def test_w_family_raw_length_bookkeeping():
     # reduction the letter counts follow L' = L + 3T, T' = 2T from (8, 4).
     # The stored words are reduced, so only the base case is a real word;
     # the raw sequence 8, 20, 44, 92 is bookkeeping about the construction.
-    s1 = sum(1 for let in w_family(1).letters if let.gen.name == "s")
-    t1 = len(w_family(1).letters) - s1
+    s1 = sum(1 for c in w_family(1).codes if abs(c) == ST.code("s"))
+    t1 = len(w_family(1).codes) - s1
     assert (s1, t1) == (4, 4)
     raw = [(8, 4)]
     for _ in range(3):
@@ -390,8 +390,8 @@ def test_w_family_raw_length_bookkeeping():
         raw.append((length + 3 * t, 2 * t))
     assert [length for length, _ in raw] == [8, 20, 44, 92]
     # after free reduction the stored words are shorter
-    assert len(w_family(2).letters) == 16
-    assert len(w_family(3).letters) < 44
+    assert len(w_family(2).codes) == 16
+    assert len(w_family(3).codes) < 44
 
 
 def test_w_family_stops_at_the_length_cap():

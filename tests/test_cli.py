@@ -325,10 +325,16 @@ def test_malformed_json_is_a_domain_error_not_a_traceback(argv, field, tmp_path)
         (("kernel-enum", "-i", "1", "--count", "-3"), "count must be >= 0"),
         (("check-cert", "-p", BS_TEXT, "t", "--cert", '[{"conj": "s^600000", "rel": 0, "sign": 1}]'),
          "certificate spells more than 1048576 letters"),
+        (("hom-check", "-p", "< a | a^65536 >", "-q", "< t | >", "--map", "a=t^65536"),
+         "substitution spells more than 1048576 letters"),
+        (("subgrp-presentation", "--gens", "t^600000", "-q", "< y | >", "--candidates", "10", "--budget", "5"),
+         "substitution spells more than 1048576 letters"),
+        (("tietze-apply", "-p", "< x, y | x y^-600000, x^2 >", "--moves", '[{"op": "rem_gen", "name": "x", "index": 0}]'),
+         "substitution spells more than 1048576 letters"),
     ],
     ids=["hom-check-budget", "tietze-check-budget", "demo-budget", "apply-f-huge-iterate",
          "bs-triv-huge-exponent", "reduce-huge-exponent", "enum-trivial-count", "kernel-enum-count",
-         "check-cert-spelled"],
+         "check-cert-spelled", "hom-check-spelled", "subgrp-spelled", "tietze-rem-gen-spelled"],
 )
 def test_out_of_range_input_is_a_domain_error_not_a_traceback(argv, message):
     # the word-length cap must reject these before allocating anything
@@ -369,6 +375,17 @@ def test_check_cert_spelling_cancelling_conjugators_is_a_bounded_domain_error():
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
     assert proc.stderr == "error: certificate factor 1: conjugators pass 1048576 letters in all\n"
+
+
+def test_substitution_past_the_letter_cap_is_a_bounded_domain_error():
+    # a^65536 under a -> t^65536 would spell 2^32 letters (under this limit it ended
+    # in a MemoryError traceback); the lengths are summed before any image is copied
+    argv = ["hom-decide", "-p", "< a | a^65536 >", "--map", "a=t^65536"]
+    start = time.perf_counter()
+    proc = _run_cli_process(argv, 30, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
+    assert proc.stderr == "error: substitution spells more than 1048576 letters\n"
 
 
 def test_recover_card_reads_levels_past_the_witness_family_cap():

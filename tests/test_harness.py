@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from fpw.bs import BS23, apply_f, bs_is_trivial, w_family
+from fpw.bs import BS23, ST, apply_f, bs_is_trivial, w_family
 from fpw.harness import (
     ExplicitFiniteSet,
     _linear_witness,
@@ -18,6 +18,7 @@ from fpw.harness import (
     recover_cardinality,
     tower_oracle,
 )
+from fpw.words import commutator
 
 from conftest import w
 
@@ -250,6 +251,12 @@ def test_linear_witnesses_die_exactly_at_their_level():
         assert tower_oracle(j)(v)
         assert j == 0 or not tower_oracle(j - 1)(v)
     assert _linear_witness(1) == w_family(1)
+
+
+def test_linear_witness_matches_the_commutator_construction():
+    s, t = ST.gen_word("s"), ST.gen_word("t")
+    for j in range(65):
+        assert _linear_witness(j) == commutator(~s**j * t * s**j, t)
 
 
 def test_recover_cardinality_has_no_level_cap():

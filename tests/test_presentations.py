@@ -286,7 +286,7 @@ def test_semidecide_trivial_exhausts_on_odd_powers():
     p = parse_presentation("< x | x^2 >")
     for budget in [0, 1, 10, 500]:
         outcome = semidecide_trivial(p, xw("x"), budget)
-        assert outcome == Exhausted(budget)
+        assert isinstance(outcome, Exhausted) and outcome == Exhausted(budget)
 
 
 def test_semidecide_trivial_on_bs_relator():

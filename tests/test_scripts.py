@@ -55,3 +55,5 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["cli.demo_non_hopfian"]["exit"] == 0
     assert run["layers"]["cli.demo_non_hopfian"]["last_line"].startswith("conclusion: ")
     assert run["layers"]["cli.demo_non_hopfian"]["ms"] > 0
+    assert run["layers"]["import.fpw_cli"]["ms"] > 0
+    assert 0 < run["layers"]["import.fpw_cli"]["kb_held"] < 2000

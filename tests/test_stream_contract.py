@@ -2,9 +2,10 @@
 
 Budgets everywhere in fpw count emissions of ``trivial_word_stream``, and the
 pinned results ("proved in 744 steps", the iso-search pair indices) depend on
-its exact order.  These digests were recorded from the original
-``Letter``-based word kernel; any change to the stream or to the word kernel
-under it must reproduce them byte for byte.
+its exact order.  These digests were recorded from the original word
+kernel, which stored each letter as a (generator, sign) pair rather than as
+an integer code; any change to the stream or to the word kernel under it
+must reproduce them byte for byte.
 """
 
 import hashlib

@@ -313,7 +313,7 @@ def test_apply_sequence_reports_step_on_bad_json_move():
 
 def test_check_move_accepts_supplied_certificate():
     outcome = check_move(X2, AddRelator(xw("x^4"), cert_x4()), budget=10)
-    assert outcome == Valid(cert_x4())
+    assert isinstance(outcome, Valid) and outcome == Valid(cert_x4())
 
 
 def test_check_move_rejects_bogus_certificate():
@@ -334,7 +334,7 @@ def test_check_move_searches_for_missing_certificate():
 def test_check_move_unverifiable_at_low_budget():
     pres = parse_presentation("< x | x^2, x^4 >")
     outcome = check_move(pres, RemoveRelator(1, None), budget=1)
-    assert outcome == Unverifiable(1)
+    assert isinstance(outcome, Unverifiable) and outcome == Unverifiable(1)
 
 
 def test_check_move_add_relator_without_certificate():
@@ -345,7 +345,8 @@ def test_check_move_add_relator_without_certificate():
 
 def test_check_move_generator_moves():
     free = parse_presentation("< x | >")
-    assert check_move(free, AddGenerator("y", xw("x x")), budget=10) == Valid(None)
+    outcome = check_move(free, AddGenerator("y", xw("x x")), budget=10)
+    assert isinstance(outcome, Valid) and outcome == Valid(None)
     outcome = check_move(free, AddGenerator("x", xw("x")), budget=10)
     assert isinstance(outcome, Invalid)
     assert "x" in outcome.reason

@@ -8,14 +8,12 @@ from fpw.words import (
     Alphabet,
     Generator,
     GeneratorMap,
-    Letter,
     ShortlexWords,
     Word,
     WordParseError,
     commutator,
     concat,
     format_word,
-    free_reduce,
     invert,
     parse_word,
     shortlex_stream,
@@ -47,33 +45,36 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 
 def test_letter_order_is_declaration_order_with_inverses_interleaved():
-    letters = ST.ordered_letters
-    names = [(let.gen.name, let.sign) for let in letters]
-    assert names == [("s", 1), ("s", -1), ("t", 1), ("t", -1)]
-    assert [ST.letter_rank(let) for let in letters] == [0, 1, 2, 3]
+    level = ShortlexWords(ST).of_length(1)
+    assert [_pairs(word) for word in level] == [(("s", 1),), (("s", -1),), (("t", 1),), (("t", -1),)]
+    assert [word.shortlex_key() for word in level] == [(1, (0,)), (1, (1,)), (1, (2,)), (1, (3,))]
 
 
 # ---------------------------------------------------------------- reduction
 
 
 def test_free_reduce_examples():
-    assert free_reduce(w("s s^-1")).is_identity
-    assert free_reduce(w("t s s^-1 t")) == w("t t")
-    assert free_reduce(w("s^-1 t s")) == w("s^-1 t s")
+    # every word is stored freely reduced
+    assert w("s s^-1").is_identity
+    assert w("t s s^-1 t") == w("t t")
+    assert w("s^-1 t s").codes == (-1, 2, 1)
 
 
 def test_construction_reduces():
-    s, t = ST.gen("s"), ST.gen("t")
-    raw = (Letter(t, 1), Letter(s, 1), Letter(s, -1), Letter(t, 1))
-    assert Word(ST, raw).letters == (Letter(t, 1), Letter(t, 1))
+    raw = [("t", 1), ("s", 1), ("s", -1), ("t", 1)]
+    assert _pairs(_word_of(ST, raw)) == (("t", 1), ("t", 1))
 
 
 def test_word_rejects_foreign_letters_and_bad_signs():
-    u = ST.gen("s")
-    with pytest.raises(ValueError):
-        Word(T_ONLY, (Letter(u, 1),))
-    with pytest.raises(ValueError):
-        Word(ST, (Letter(u, 2),))
+    # letters enter only through the validating readers: Word has no public constructor
+    with pytest.raises(TypeError):
+        Word(ST, (1,))
+    with pytest.raises(WordParseError, match="unknown generator"):
+        parse_word(T_ONLY, "s")
+    with pytest.raises(WordParseError, match="zero exponent"):
+        parse_word(ST, "s^0")
+    with pytest.raises(ValueError, match="not over the codomain"):
+        GeneratorMap(T_ONLY, T_ONLY, (w("t"),))
 
 
 def test_invert_examples():
@@ -111,7 +112,7 @@ def test_word_operators():
 
 
 def test_parse_word_examples():
-    assert w("t^3").letters == tuple([Letter(ST.gen("t"), 1)] * 3)
+    assert w("t^3").codes == (2, 2, 2)
     assert w("  s   t^-2 ") == w("s t^-1 t^-1")
     assert w("").is_identity
 
@@ -180,6 +181,16 @@ def test_generator_map_composition():
     assert substitute(w("t"), ff) == w("t^4")
 
 
+def test_substitute_caps_the_spelled_letters():
+    f = GeneratorMap.parse(ST, ST, "s=t^-1,t=t^1024")
+    assert len(substitute(w("t^1024"), f)) == MAX_WORD_LETTERS
+    # the cap counts letters before reduction: this spells 2^20 + 1 and reduces to 2^20 - 1
+    with pytest.raises(ValueError, match=f"substitution spells more than {MAX_WORD_LETTERS} letters"):
+        substitute(w("t^1024 s"), f)
+    with pytest.raises(ValueError, match="substitution spells more than"):
+        f.then(GeneratorMap.parse(ST, ST, "s=s,t=t^2048"))
+
+
 def test_substitute_rejects_wrong_domain():
     f = GeneratorMap.parse(ST, ST, "s=s,t=t^2")
     with pytest.raises(ValueError):
@@ -206,8 +217,8 @@ def test_shortlex_is_nondecreasing_and_duplicate_free():
     prev_key = None
     for word in itertools.islice(shortlex_stream(ST), 200):
         key = word.shortlex_key()
-        assert word.letters not in seen
-        seen.add(word.letters)
+        assert word.codes not in seen
+        seen.add(word.codes)
         if prev_key is not None:
             assert key > prev_key
         prev_key = key
@@ -240,7 +251,7 @@ def test_shortlex_completeness_formula(names, max_len):
     g = len(names)
     bound = 1 + sum((2 * g) * (2 * g - 1) ** (k - 1) for k in range(1, max_len + 1))
     prefix = list(itertools.islice(shortlex_stream(a), bound))
-    assert len({word.letters for word in prefix}) == bound
+    assert len({word.codes for word in prefix}) == bound
     assert all(len(word) <= max_len for word in prefix)
     # and the count of each exact length matches the closed form
     by_len = {}
@@ -258,8 +269,25 @@ letters_st = st_.lists(
 )
 
 
-def _raw(pairs):
-    return tuple(Letter(ST.gen(name), sign) for name, sign in pairs)
+def _word_of(alphabet, pairs):
+    """Adaptor in: the word spelled by (name, sign) pairs, through ``parse_word``."""
+    return parse_word(alphabet, " ".join(f"{name}^{sign}" for name, sign in pairs))
+
+
+def _pairs(word):
+    """Adaptor out: a word's codes read back as (name, sign) pairs."""
+    names = word.alphabet.names()
+    return tuple((names[abs(c) - 1], 1 if c > 0 else -1) for c in word.codes)
+
+
+def _letter_order(alphabet):
+    """Every letter as a pair: declaration order, each generator followed by its inverse."""
+    return [(name, sign) for name in alphabet.names() for sign in (1, -1)]
+
+
+def _inverse_letter(let):
+    name, sign = let
+    return name, -sign
 
 
 def _naive_reduce(letters):
@@ -269,7 +297,7 @@ def _naive_reduce(letters):
     while changed:
         changed = False
         for i in range(len(out) - 1):
-            if out[i] == out[i + 1].inverse():
+            if out[i] == _inverse_letter(out[i + 1]):
                 del out[i : i + 2]
                 changed = True
                 break
@@ -277,27 +305,27 @@ def _naive_reduce(letters):
 
 
 def _ref_invert(letters):
-    return tuple(let.inverse() for let in reversed(letters))
+    return tuple(_inverse_letter(let) for let in reversed(letters))
 
 
 def _ref_substitute(letters, images):
-    """Reference substitution: ``images`` maps each generator to image letters."""
+    """Reference substitution: ``images`` maps each generator name to image letters."""
     out = []
-    for let in letters:
-        img = images[let.gen]
-        out.extend(img if let.sign == 1 else _ref_invert(img))
+    for name, sign in letters:
+        img = images[name]
+        out.extend(img if sign == 1 else _ref_invert(img))
     return _naive_reduce(out)
 
 
 def _ref_shortlex_key(alphabet, letters):
-    return (len(letters), tuple(alphabet.ordered_letters.index(let) for let in letters))
+    return (len(letters), tuple(_letter_order(alphabet).index(let) for let in letters))
 
 
 def _ref_format(letters):
     parts = []
-    for let, run in itertools.groupby(letters):
-        exp = len(list(run)) * let.sign
-        parts.append(let.gen.name if exp == 1 else f"{let.gen.name}^{exp}")
+    for (name, sign), run in itertools.groupby(letters):
+        exp = len(list(run)) * sign
+        parts.append(name if exp == 1 else f"{name}^{exp}")
     return " ".join(parts)
 
 
@@ -307,46 +335,41 @@ letters_abc = st_.lists(
 )
 
 
-def _raw_abc(pairs):
-    return tuple(Letter(ABC.gen(name), sign) for name, sign in pairs)
-
-
 @given(letters_abc)
 def test_kernel_reduce_matches_reference(pairs):
-    raw = _raw_abc(pairs)
-    word = Word(ABC, raw)
-    assert word.letters == _naive_reduce(raw)
-    assert len(word) == len(word.letters)
-    assert word.is_identity == (not word.letters)
+    word = _word_of(ABC, pairs)
+    assert _pairs(word) == _naive_reduce(pairs)
+    assert len(word) == len(_pairs(word))
+    assert word.is_identity == (not _pairs(word))
 
 
 @given(letters_abc, letters_abc)
 def test_kernel_concat_and_invert_match_reference(p1, p2):
-    u, v = Word(ABC, _raw_abc(p1)), Word(ABC, _raw_abc(p2))
-    assert concat(u, v).letters == _naive_reduce(u.letters + v.letters)
-    assert invert(u).letters == _ref_invert(u.letters)
-    assert (u ** 3).letters == _naive_reduce(u.letters * 3)
-    assert (u ** -2).letters == _naive_reduce(_ref_invert(u.letters) * 2)
+    u, v = _word_of(ABC, p1), _word_of(ABC, p2)
+    assert _pairs(concat(u, v)) == _naive_reduce(_pairs(u) + _pairs(v))
+    assert _pairs(invert(u)) == _ref_invert(_pairs(u))
+    assert _pairs(u ** 3) == _naive_reduce(_pairs(u) * 3)
+    assert _pairs(u ** -2) == _naive_reduce(_ref_invert(_pairs(u)) * 2)
 
 
 @given(letters_abc, letters_abc, letters_abc, letters_st)
 def test_kernel_substitute_matches_reference(pa, pb, pc, pairs):
     # a map from s,t into a,b,c and one from a,b,c onto itself
-    down = GeneratorMap(ST, ABC, (Word(ABC, _raw_abc(pa)), Word(ABC, _raw_abc(pb))))
-    word = Word(ST, _raw(pairs))
-    images = {g: img.letters for g, img in zip(ST.generators, down.images)}
-    assert substitute(word, down).letters == _ref_substitute(word.letters, images)
-    self_map = GeneratorMap(ABC, ABC, tuple(Word(ABC, _raw_abc(p)) for p in (pa, pb, pc)))
+    down = GeneratorMap(ST, ABC, (_word_of(ABC, pa), _word_of(ABC, pb)))
+    word = _word_of(ST, pairs)
+    images = {name: _pairs(img) for name, img in zip(ST.names(), down.images)}
+    assert _pairs(substitute(word, down)) == _ref_substitute(_pairs(word), images)
+    self_map = GeneratorMap(ABC, ABC, tuple(_word_of(ABC, p) for p in (pa, pb, pc)))
     u = substitute(word, down)
-    images = {g: img.letters for g, img in zip(ABC.generators, self_map.images)}
-    assert substitute(u, self_map).letters == _ref_substitute(u.letters, images)
+    images = {name: _pairs(img) for name, img in zip(ABC.names(), self_map.images)}
+    assert _pairs(substitute(u, self_map)) == _ref_substitute(_pairs(u), images)
 
 
 @given(letters_abc)
 def test_kernel_shortlex_key_and_format_match_reference(pairs):
-    word = Word(ABC, _raw_abc(pairs))
-    assert word.shortlex_key() == _ref_shortlex_key(ABC, word.letters)
-    assert format_word(word) == _ref_format(word.letters)
+    word = _word_of(ABC, pairs)
+    assert word.shortlex_key() == _ref_shortlex_key(ABC, _pairs(word))
+    assert format_word(word) == _ref_format(_pairs(word))
     assert parse_word(ABC, format_word(word)) == word
 
 
@@ -355,36 +378,37 @@ def test_kernel_shortlex_stream_matches_sorted_reference():
     words = [
         letters
         for n in range(4)
-        for letters in itertools.product(ABC.ordered_letters, repeat=n)
+        for letters in itertools.product(_letter_order(ABC), repeat=n)
         if _naive_reduce(letters) == letters
     ]
     words.sort(key=lambda letters: _ref_shortlex_key(ABC, letters))
-    got = [word.letters for word in itertools.islice(shortlex_stream(ABC), len(words))]
+    got = [_pairs(word) for word in itertools.islice(shortlex_stream(ABC), len(words))]
     assert got == words
 
 
 @given(letters_st)
 def test_reduction_matches_naive_oracle(pairs):
-    raw = _raw(pairs)
-    assert Word(ST, raw).letters == _naive_reduce(raw)
+    assert _pairs(_word_of(ST, pairs)) == _naive_reduce(pairs)
 
 
 @given(letters_st)
 def test_free_reduce_idempotent(pairs):
-    word = Word(ST, _raw(pairs))
-    assert free_reduce(free_reduce(word)) == free_reduce(word)
+    # reducing the letters of a stored (reduced) word gives the same word
+    word = _word_of(ST, pairs)
+    assert _word_of(ST, _pairs(word)) == word
+    assert _naive_reduce(_pairs(word)) == _pairs(word)
 
 
 @given(letters_st)
 def test_invert_is_involution_and_cancels(pairs):
-    word = Word(ST, _raw(pairs))
+    word = _word_of(ST, pairs)
     assert invert(invert(word)) == word
     assert concat(word, invert(word)).is_identity
 
 
 @given(letters_st, letters_st, letters_st)
 def test_concat_associative(p1, p2, p3):
-    u, v, x = Word(ST, _raw(p1)), Word(ST, _raw(p2)), Word(ST, _raw(p3))
+    u, v, x = _word_of(ST, p1), _word_of(ST, p2), _word_of(ST, p3)
     assert concat(concat(u, v), x) == concat(u, concat(v, x))
 
 
@@ -394,5 +418,5 @@ image_words = st_.sampled_from(["", "t", "s^-1 t s t^-1", "t^2", "s"])
 @given(letters_st, letters_st, image_words, image_words)
 def test_substitute_distributes_over_concat(p1, p2, s_img, t_img):
     m = GeneratorMap(ST, ST, (w(s_img), w(t_img)))
-    u, v = Word(ST, _raw(p1)), Word(ST, _raw(p2))
+    u, v = _word_of(ST, p1), _word_of(ST, p2)
     assert substitute(concat(u, v), m) == concat(substitute(u, m), substitute(v, m))
