@@ -16,7 +16,7 @@ import itertools
 import time
 
 from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation
-from fpw.presentations import trivial_word_stream
+from fpw.presentations import _emissions
 from fpw.words import format_word, shortlex_stream
 
 
@@ -42,13 +42,14 @@ def main() -> None:
     print(f"trivial words of reduced length <= {args.max_len}: {len(words)} "
           f"(scan took {time.time() - t0:.1f}s)")
 
-    pending = set(words)
+    # the raw stream, keyed by codes: no certificate is built for an emission
+    pending = {w.codes: w for w in words}
     positions: dict = {}
     pres = bs_presentation(BS23)
     t0 = time.time()
-    for idx, (w, _) in enumerate(itertools.islice(trivial_word_stream(pres), args.stream_cap)):
-        if w in pending:
-            pending.discard(w)
+    for idx, (codes, *_) in enumerate(itertools.islice(_emissions(pres), args.stream_cap)):
+        w = pending.pop(codes, None)
+        if w is not None:
             positions[w] = idx + 1
             if not pending:
                 break
@@ -56,7 +57,7 @@ def main() -> None:
 
     if pending:
         print(f"NOT FOUND within {args.stream_cap} emissions: {len(pending)} words")
-        for w in sorted(pending, key=lambda v: v.shortlex_key()):
+        for w in sorted(pending.values(), key=lambda v: v.shortlex_key()):
             print(f"  {format_word(w)!r}")
     for w in sorted(positions, key=lambda v: positions[v]):
         print(f"{positions[w]:>9}  {format_word(w)}")

@@ -21,6 +21,8 @@ from .words import (
     WordParseError,
     WordTooLong,
     _inverse,
+    _join,
+    _reduced_word,
     _spell,
     _word,
     format_word,
@@ -328,15 +330,35 @@ def trivial_word_stream(
     sees every trivial word of the presented group.  Budgets elsewhere in
     this package are counted in emissions of this stream.
 
-    The stream may emit the same word under different certificates; use
-    ``unique_words`` to deduplicate.
+    This wraps each emission of the raw stream ``_emissions`` in a word and a
+    certificate; the budgeted searches read the raw stream and build a
+    certificate only for a word they keep.  The stream may emit the same
+    word under different certificates; use ``unique_words`` to deduplicate.
     """
     alphabet = pres.generators
+    for codes, conjs, idxs, signs in _emissions(pres):
+        yield _reduced_word(alphabet, codes), _certificate(conjs, idxs, signs)
+
+
+def _certificate(conjs: tuple[Word, ...], idxs: tuple[int, ...], signs: tuple[int, ...]) -> TrivialityCertificate:
+    return TrivialityCertificate(tuple(map(CertFactor, conjs, idxs, signs)))
+
+
+def _emissions(
+    pres: Presentation,
+) -> Iterator[tuple[tuple[int, ...], tuple[Word, ...], tuple[int, ...], tuple[int, ...]]]:
+    """The certificate stream, raw: (codes, conjugators, indices, signs) per
+    emission, in ``trivial_word_stream``'s order, ``codes`` freely reduced.
+
+    Conjugators and relators are stored reduced, so each factor c r^e c^-1 is
+    reduced once, on first use, into a memo that lives as long as this
+    stream, and an emission joins its reduced factors at their junctions.
+    """
     pool = _RelatorPool(pres)
-    table = ShortlexWords(alphabet)
-    # per length: each conjugator with its codes and its inverse's codes
-    levels: dict[int, list[tuple[Word, tuple[int, ...], tuple[int, ...]]]] = {}
-    yield alphabet.empty_word(), TrivialityCertificate(())
+    table = ShortlexWords(pres.generators)
+    # per length: each conjugator with its memo; memo[i][e] is c r_i^e c^-1 reduced
+    levels: dict[int, list[tuple[Word, list[dict[int, tuple[int, ...]]]]]] = {}
+    yield (), (), (), ()
     for size in itertools.count(1):
         pool.ensure(size)
         if pool.count == 0:
@@ -350,20 +372,22 @@ def trivial_word_stream(
                 for comp in _compositions(conj_total, n):
                     for ln in comp:
                         if ln not in levels:
-                            levels[ln] = [(c, c.codes, _inverse(c.codes)) for c in table.of_length(ln)]
+                            levels[ln] = [(c, []) for c in table.of_length(ln)]
                     for conjs in itertools.product(*(levels[ln] for ln in comp)):
-                        words = tuple(c for c, _, _ in conjs)
+                        for c, memo in conjs:
+                            while len(memo) <= max_idx:
+                                c_inv, i = _inverse(c.codes), len(memo)
+                                memo.append({e: _join(_join(c.codes, pool.codes(i, e)), c_inv) for e in (1, -1)})
+                        words = tuple(c for c, _ in conjs)
                         for idxs in itertools.product(range(max_idx + 1), repeat=n):
                             if max(idxs) != max_idx:
                                 continue
+                            head, *tail = [memo[i] for (_, memo), i in zip(conjs, idxs)]
                             for signs in itertools.product((1, -1), repeat=n):
-                                codes: list[int] = []
-                                for (_, c, c_inv), i, e in zip(conjs, idxs, signs):
-                                    codes += c
-                                    codes += pool.codes(i, e)
-                                    codes += c_inv
-                                cert = TrivialityCertificate(tuple(map(CertFactor, words, idxs, signs)))
-                                yield _word(alphabet, codes), cert
+                                codes = head[signs[0]]
+                                for factor, e in zip(tail, signs[1:]):
+                                    codes = _join(codes, factor[e])
+                                yield codes, words, idxs, signs
 
 
 def unique_words(
@@ -389,20 +413,23 @@ class Exhausted(NamedTuple):
 def _scan(
     pres: Presentation, targets: Collection[Word], budget: int
 ) -> tuple[list[TrivialityCertificate], int] | Exhausted:
-    """One pass over at most ``budget`` emissions of the certificate stream:
-    the first certificate of each target, in target order, and the position
-    of the last target to appear, or Exhausted if one does not appear."""
-    pending: dict[Word, list[int]] = {}
+    """One pass over at most ``budget`` emissions of the raw certificate
+    stream, matched against the targets' codes: the first certificate of each
+    target, in target order, and the position of the last target to appear,
+    or Exhausted if one does not appear.  A certificate is built only for an
+    emission that hits a target."""
+    pending: dict[tuple[int, ...], list[int]] = {}
     for pos, t in enumerate(targets):
-        pending.setdefault(t, []).append(pos)
+        pending.setdefault(t.codes, []).append(pos)
     certs: list = [None] * len(targets)
     if not pending:
         return certs, 0
     steps = 0
-    for word, cert in itertools.islice(trivial_word_stream(pres), budget):
+    for codes, conjs, idxs, signs in itertools.islice(_emissions(pres), budget):
         steps += 1
-        if word in pending:
-            for pos in pending.pop(word):
+        if codes in pending:
+            cert = _certificate(conjs, idxs, signs)
+            for pos in pending.pop(codes):
                 certs[pos] = cert
             if not pending:
                 return certs, steps

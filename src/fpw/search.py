@@ -36,11 +36,11 @@ from .presentations import (
     FinitePresentation,
     Presentation,
     TrivialityCertificate,
+    _emissions,
     _scan,
     exponent_matrix,
     exponent_vector,
     smith_normal_form,
-    trivial_word_stream,
 )
 from .words import Alphabet, GeneratorMap, ShortlexWords, Word, invert, shortlex_stream, substitute
 
@@ -171,10 +171,10 @@ def _obligations(there: GeneratorMap, back: GeneratorMap, far: FinitePresentatio
 
 
 class _Side:
-    """One presentation as one search sees it.  Its certificate stream is
-    pulled lazily, at most ``cap`` emissions deep, and ``first`` maps each
-    distinct word of that prefix to its first emission position (from 1);
-    every candidate pair of the search reads the same prefix."""
+    """One presentation as one search sees it.  Its raw certificate stream is
+    pulled lazily, at most ``cap`` emissions deep, and ``first`` maps the
+    codes of each distinct word of that prefix to its first emission position
+    (from 1); every candidate pair of the search reads the same prefix."""
 
     def __init__(self, pres: FinitePresentation, cap: int):
         self.pres = pres
@@ -182,10 +182,10 @@ class _Side:
         self.abelian = _AbelianTester(pres)
         self.relator_vectors = exponent_matrix(pres).entries
         self.cap = cap
-        self.first: dict[Word, int] = {}
+        self.first: dict[tuple[int, ...], int] = {}
         self.pulled = 0
         self.ended = False
-        self._stream = trivial_word_stream(pres)
+        self._stream = _emissions(pres)
         self._maps: dict[tuple[Alphabet, int], tuple[GeneratorMap, list[tuple[int, ...]]]] = {}
 
     def map_from(self, domain: Alphabet, a: int) -> tuple[GeneratorMap, list[tuple[int, ...]]]:
@@ -201,14 +201,14 @@ class _Side:
     def full(self) -> bool:
         return self.ended or self.pulled == self.cap
 
-    def pull(self) -> Word | None:
-        """Pull one more emission and return its word, or None at the stream's end."""
-        word, _ = next(self._stream, (None, None))
-        self.ended = word is None
-        if word is not None:
+    def pull(self) -> tuple[int, ...] | None:
+        """Pull one more emission and return its codes, or None at the stream's end."""
+        codes = next(self._stream, (None,))[0]
+        self.ended = codes is None
+        if codes is not None:
             self.pulled += 1
-            self.first.setdefault(word, self.pulled)
-        return word
+            self.first.setdefault(codes, self.pulled)
+        return codes
 
 
 class _PairScanner:
@@ -242,7 +242,8 @@ class _PairScanner:
         if not (left.abelian.passes(right.relator_vectors, m_phi, m_psi)
                 and right.abelian.passes(left.relator_vectors, m_psi, m_phi)):
             return None, 0
-        targets = (_obligations(phi, psi, right.pres), _obligations(psi, phi, left.pres))
+        obligations = (_obligations(phi, psi, right.pres), _obligations(psi, phi, left.pres))
+        targets = [{t.codes for t in ts} for ts in obligations]
         # per side: the side, its obligations, those not in its prefix yet
         state = [(s, ts, {t for t in ts if t not in s.first}) for s, ts in zip((left, right), targets)]
         while True:  # a full side still missing a word fails at its cap, or at its length + 1 if it ended

@@ -176,15 +176,29 @@ def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _join(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """``_reduce(left + right)`` for two freely reduced pieces: letters can
+    cancel only at the junction, so only that run is trimmed."""
+    k, most = 0, min(len(left), len(right))
+    while k < most and left[-1 - k] == -right[k]:
+        k += 1
+    return left[: len(left) - k] + right[k:]
+
+
 def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in reversed(codes))
 
 
 def _word(alphabet: Alphabet, codes: Iterable[int]) -> Word:
     """Trusted constructor: ``codes`` are valid for ``alphabet``; reduces them once."""
+    return _reduced_word(alphabet, _reduce(codes))
+
+
+def _reduced_word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
+    """Trusted constructor for codes valid for ``alphabet`` and freely reduced."""
     w = object.__new__(Word)
     _set_alphabet(w, alphabet)
-    _set_codes(w, _reduce(codes))
+    _set_codes(w, codes)
     return w
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import fpw.presentations
 import fpw.tietze
-from fpw.bs import BS23, ST, bs_presentation
+from fpw.bs import BS23, ST, bs_presentation, doubling_map
 from fpw.cli import main
 from fpw.harness import cantor_unpair
 from fpw.presentations import (
@@ -26,6 +26,7 @@ from fpw.presentations import (
     parse_presentation,
     semidecide_trivial,
     trivial_word_stream,
+    _emissions,
 )
 from fpw.search import (
     IsoWitness,
@@ -255,11 +256,40 @@ def test_verify_iso_witness_opens_one_stream_per_side(monkeypatch):
 
     def counting(pres):
         opened.append(pres)
-        return trivial_word_stream(pres)
+        return _emissions(pres)
 
-    monkeypatch.setattr(fpw.presentations, "trivial_word_stream", counting)
+    monkeypatch.setattr(fpw.presentations, "_emissions", counting)
     assert verify_iso_witness(BS, variant, found.witness, 2000)
     assert opened == [variant, BS]  # the right side's obligations first, as before
+
+
+def test_scan_builds_a_certificate_only_for_a_hit(monkeypatch):
+    built = {"certificates": [], "factors": 0, "words": 0}
+
+    def certificate(factors):
+        built["certificates"].append(factors)
+        return TrivialityCertificate(factors)
+
+    def factor(*args):
+        built["factors"] += 1
+        return CertFactor(*args)
+
+    def counting_words(make):
+        def word(*args):
+            built["words"] += 1
+            return make(*args)
+
+        return word
+
+    monkeypatch.setattr(fpw.presentations, "TrivialityCertificate", certificate)
+    monkeypatch.setattr(fpw.presentations, "CertFactor", factor)
+    for name in ("_word", "_reduced_word"):
+        monkeypatch.setattr(fpw.presentations, name, counting_words(getattr(fpw.presentations, name)))
+    proved = semidecide_homomorphism(doubling_map(), BS, BS, 1000)
+    assert isinstance(proved, Proved) and proved.steps == 744
+    # 744 emissions, one relator image: one certificate, none for the other 743
+    (cert,) = proved.certificates
+    assert built == {"certificates": [cert.factors], "factors": len(cert.factors), "words": 0}
 
 
 def test_tietze_apply_evaluates_each_certificate_once(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from fpw.presentations import (
     parse_presentation,
     smith_normal_form,
     trivial_word_stream,
+    _emissions,
 )
 from fpw.search import (
     Found,
@@ -499,8 +500,9 @@ def test_exponent_vector_filter_matches_the_word_filter(left, right, a, b):
 
 
 def _count_streams(monkeypatch):
-    """Wrap the search module's certificate stream; return, per opened
-    stream, its presentation and a one-element list counting its emissions."""
+    """Wrap the raw certificate stream the search module opens; return, per
+    opened stream, its presentation and a one-element list counting its
+    emissions."""
     opened = []
 
     def counting(pres):
@@ -508,13 +510,13 @@ def _count_streams(monkeypatch):
         opened.append((pres, pulled))
 
         def emissions():
-            for item in trivial_word_stream(pres):
+            for item in _emissions(pres):
                 pulled[0] += 1
                 yield item
 
         return emissions()
 
-    monkeypatch.setattr(fpw.search, "trivial_word_stream", counting)
+    monkeypatch.setattr(fpw.search, "_emissions", counting)
     return opened
 
 

@@ -18,12 +18,16 @@ from hypothesis import given, settings, strategies as st_
 from fpw.presentations import (
     EMPTY_RELATOR_INDEX,
     CertFactor,
+    RecursivePresentation,
     TrivialityCertificate,
     certificate_word,
     parse_presentation,
     trivial_word_stream,
+    _compositions,
+    _emissions,
+    _RelatorPool,
 )
-from fpw.words import format_word, invert, parse_word
+from fpw.words import Alphabet, ShortlexWords, format_word, invert, parse_word, _inverse, _reduce
 
 EMISSIONS = 50_000
 
@@ -40,6 +44,56 @@ def test_first_emissions_digest(text):
     for word, cert in itertools.islice(trivial_word_stream(parse_presentation(text)), EMISSIONS):
         digest.update(f"{format_word(word)}\t{json.dumps(cert.to_json())}\n".encode())
     assert digest.hexdigest() == DIGESTS[text]
+
+
+# ---------------------------------------------------------------- the raw stream against its reference
+
+
+def _reference_emissions(pres):
+    """The stream as it was before junction-only reduction: every emission
+    spells out c r^e c^-1 for each factor and reduces the whole word."""
+    pool = _RelatorPool(pres)
+    table = ShortlexWords(pres.generators)
+    levels = {}
+    yield (), (), (), ()
+    for size in itertools.count(1):
+        pool.ensure(size)
+        if pool.count == 0:
+            if pool.exhausted:
+                return
+            continue
+        for n in range(1, size + 1):
+            rest = size - n
+            for max_idx in range(0, min(rest, pool.count - 1) + 1):
+                conj_total = rest - max_idx
+                for comp in _compositions(conj_total, n):
+                    for ln in comp:
+                        if ln not in levels:
+                            levels[ln] = [(c, c.codes, _inverse(c.codes)) for c in table.of_length(ln)]
+                    for conjs in itertools.product(*(levels[ln] for ln in comp)):
+                        words = tuple(c for c, _, _ in conjs)
+                        for idxs in itertools.product(range(max_idx + 1), repeat=n):
+                            if max(idxs) != max_idx:
+                                continue
+                            for signs in itertools.product((1, -1), repeat=n):
+                                codes = []
+                                for (_, c, c_inv), i, e in zip(conjs, idxs, signs):
+                                    codes += c
+                                    codes += pool.codes(i, e)
+                                    codes += c_inv
+                                yield _reduce(codes), words, idxs, signs
+
+
+_XY = Alphabet.of("x", "y")
+_X2, _Y3 = parse_word(_XY, "x^2"), parse_word(_XY, "y^3")
+# a source that repeats a relator and emits the empty word
+_REPEATING = RecursivePresentation(_XY, lambda: iter([_X2, _X2, _XY.empty_word(), _Y3]))
+
+
+@pytest.mark.parametrize("pres", [*map(parse_presentation, DIGESTS), _REPEATING], ids=[*DIGESTS, "repeating source"])
+def test_raw_stream_matches_the_reference(pres):
+    expected = itertools.islice(_reference_emissions(pres), 3000)
+    assert list(itertools.islice(_emissions(pres), 3000)) == list(expected)
 
 
 # ---------------------------------------------------------------- certificate evaluation

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st_
+from hypothesis import example, given, strategies as st_
 
 from fpw.words import (
     MAX_WORD_LETTERS,
@@ -18,6 +18,8 @@ from fpw.words import (
     parse_word,
     shortlex_stream,
     substitute,
+    _join,
+    _reduce,
 )
 
 from conftest import w
@@ -420,3 +422,18 @@ def test_substitute_distributes_over_concat(p1, p2, s_img, t_img):
     m = GeneratorMap(ST, ST, (w(s_img), w(t_img)))
     u, v = _word_of(ST, p1), _word_of(ST, p2)
     assert substitute(concat(u, v), m) == concat(substitute(u, m), substitute(v, m))
+
+
+reduced_pieces = st_.lists(st_.lists(st_.sampled_from([1, -1, 2, -2]), max_size=8).map(_reduce), max_size=6)
+
+
+@given(reduced_pieces)
+@example([(1, 2), (-2, -1)])  # the second piece cancels the first completely
+@example([(1,), (-1, 2, 2, 1)])  # a piece longer than the accumulator, which it consumes
+@example([(2, 1), (-1, -2, -2)])  # ... and goes on past it
+@example([(), (1, 2), (), (-2,), ()])  # empty pieces
+def test_join_at_junctions_matches_reduce(pieces):
+    joined = ()
+    for piece in pieces:
+        joined = _join(joined, piece)
+    assert joined == _reduce(itertools.chain.from_iterable(pieces))
