@@ -4,6 +4,10 @@
 
 Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
 
+  * the word kernel: ``*`` of two 4000-letter words over {s, t}, and the
+    8748 reduced words of length 8 from a fresh ``ShortlexWords`` (ms);
+  * ``bs_equal`` on two 2000-letter words that differ by one inserted
+    BS(2,3) relator, and the first 20 words of ``kernel_stream(1)`` (ms);
   * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
   * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
     relator conjugated by t (ms, and candidate pairs/s);
@@ -36,6 +40,7 @@ import itertools
 import json
 import os
 import platform
+import random
 import sys
 import time
 import traceback
@@ -43,7 +48,7 @@ import tracemalloc
 from pathlib import Path
 
 from fpw import cli
-from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation, doubling_map
+from fpw.bs import BS23, ST, bs_equal, bs_is_trivial, bs_presentation, doubling_map, kernel_stream
 from fpw.presentations import FinitePresentation, parse_presentation, semidecide_trivial, trivial_word_stream
 from fpw.search import (
     SearchBudget,
@@ -52,7 +57,7 @@ from fpw.search import (
     subgroup_presentation_search,
     verify_iso_witness,
 )
-from fpw.words import parse_word
+from fpw.words import ShortlexWords, format_word, parse_word
 
 
 def best_of(repeat: int, call) -> tuple[float, object]:
@@ -65,11 +70,40 @@ def best_of(repeat: int, call) -> tuple[float, object]:
     return best, result
 
 
+def reduced_letters(seed: int, n: int) -> list[str]:
+    """``n`` letters over {s, t} in which no letter follows its inverse."""
+    rng, letters = random.Random(seed), ["s"]
+    inverse = {"s": "s^-1", "s^-1": "s", "t": "t^-1", "t^-1": "t"}
+    while len(letters) < n:
+        letters.append(rng.choice([x for x in inverse if x != inverse[letters[-1]]]))
+    return letters
+
+
 def measure(repeat: int) -> dict:
     bs = bs_presentation(BS23)
     t = parse_word(ST, "t")
     variant = FinitePresentation(ST, (t * bs.relators[0] * ~t,))
     z2 = parse_presentation("< a | a^2 >")
+
+    def concat_4000():
+        u, v = (parse_word(ST, " ".join(reduced_letters(seed, 4000))) for seed in (1, 2))
+        secs, uv = best_of(repeat, lambda: u * v)
+        return {"ms": secs * 1e3, "letters": len(uv)}
+
+    def shortlex_len8():
+        secs, level = best_of(repeat, lambda: ShortlexWords(ST).of_length(8))
+        return {"ms": secs * 1e3, "words": len(level)}
+
+    def equal_2000():
+        letters = reduced_letters(3, 2000)
+        u = parse_word(ST, " ".join(letters))
+        v = parse_word(ST, " ".join(letters[:1000] + [format_word(bs.relators[0])] + letters[1000:]))
+        secs, equal = best_of(repeat, lambda: bs_equal(BS23, u, v))
+        return {"ms": secs * 1e3, "letters": (len(u), len(v)), "equal": equal}
+
+    def kernel1_20():
+        secs, words = best_of(repeat, lambda: list(itertools.islice(kernel_stream(1), 20)))
+        return {"ms": secs * 1e3, "words": len(words), "last": format_word(words[-1])}
 
     def stream():
         secs, _ = best_of(repeat, lambda: list(itertools.islice(trivial_word_stream(bs), 744)))
@@ -136,7 +170,9 @@ def measure(repeat: int) -> dict:
         return {"ms": secs * 1e3, "kb_held": held / 1024}
 
     layers = {}
-    for name, run in [("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
+    for name, run in [("words.concat_4000", concat_4000), ("words.shortlex_len8", shortlex_len8),
+                      ("bs.equal_2000", equal_2000), ("bs.kernel1_20", kernel1_20),
+                      ("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
                       ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),

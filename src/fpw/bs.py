@@ -132,7 +132,7 @@ def from_syllables(sw: SyllableWord) -> Word:
     for e, a in zip(sw.s_signs, sw.t_runs[1:]):
         codes.append(s * e)
         codes += [t if a > 0 else -t] * abs(a)
-    return _word(ST, codes)
+    return _word(ST, tuple(codes))
 
 
 def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int]:

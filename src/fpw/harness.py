@@ -154,6 +154,8 @@ def _linear_witness(j: int) -> Word:
     letters (v_0 is empty).  Its image under f^k is [s^-j t^(2^k) s^j, t^(2^k)],
     trivial in BS(2,3) exactly when j <= k, so v_j dies at tower level j and
     not before."""
+    if j == 0:
+        return ST.empty_word()  # t t t^-1 t^-1 cancels
     s, t = ST.code("s"), ST.code("t")
     out, back = (-s,) * j, (s,) * j
     return _word(ST, out + (t,) + back + (t,) + out + (-t,) + back + (-t,))

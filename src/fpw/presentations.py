@@ -22,7 +22,7 @@ from .words import (
     WordTooLong,
     _inverse,
     _join,
-    _reduced_word,
+    _reduce,
     _spell,
     _word,
     format_word,
@@ -212,7 +212,7 @@ class TrivialityCertificate(NamedTuple("TrivialityCertificate", [("factors", tup
             except WordTooLong:
                 raise ValueError(f"{where}: conjugators pass {MAX_WORD_LETTERS} letters in all") from None
             spelled += len(codes)
-            factors.append(CertFactor(_word(alphabet, codes), rel, sign))
+            factors.append(CertFactor(_word(alphabet, _reduce(codes)), rel, sign))
         return cls(tuple(factors))
 
     def __str__(self) -> str:
@@ -299,7 +299,7 @@ def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
         codes += c.codes
         codes += r
         codes += _inverse(c.codes)
-    return _word(pres.generators, codes)
+    return _word(pres.generators, _reduce(codes))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -335,9 +335,8 @@ def trivial_word_stream(
     certificate only for a word they keep.  The stream may emit the same
     word under different certificates; use ``unique_words`` to deduplicate.
     """
-    alphabet = pres.generators
     for codes, conjs, idxs, signs in _emissions(pres):
-        yield _reduced_word(alphabet, codes), _certificate(conjs, idxs, signs)
+        yield _word(pres.generators, codes), _certificate(conjs, idxs, signs)
 
 
 def _certificate(conjs: tuple[Word, ...], idxs: tuple[int, ...], signs: tuple[int, ...]) -> TrivialityCertificate:

@@ -82,7 +82,7 @@ def _lift(word: Word, alphabet: Alphabet) -> Word:
     """The same word over another alphabet containing its letters, each
     letter re-encoded by its generator's name (codes are positional)."""
     names = word.alphabet.names()
-    return _word(alphabet, [alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes])
+    return _word(alphabet, tuple(alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes))
 
 
 def _obligation(

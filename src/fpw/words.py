@@ -3,7 +3,7 @@
 Words are tuples of integer letter codes, +-(generator index + 1), the way
 GAP and kbmag store them.  Letters are validated where they enter (parsing,
 ``GeneratorMap``, certificate JSON); every public operation returns words in
-freely reduced form.
+freely reduced form, reducing only where letters can cancel (see ``_word``).
 """
 
 from __future__ import annotations
@@ -151,8 +151,10 @@ class Word:
         return invert(self)
 
     def __pow__(self, k: int) -> "Word":
+        if len(self.codes) * abs(k) > MAX_WORD_LETTERS:
+            raise ValueError(f"power spells more than {MAX_WORD_LETTERS} letters")
         codes = self.codes if k >= 0 else _inverse(self.codes)
-        return _word(self.alphabet, codes * abs(k))
+        return _word(self.alphabet, _reduce(codes * abs(k)))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -166,6 +168,7 @@ _set_codes = Word.codes.__set__
 
 
 def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction in one stack pass, for spelled letters that may cancel anywhere."""
     out: list[int] = []
     push, pop = out.append, out.pop
     for c in codes:
@@ -177,8 +180,8 @@ def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
 
 
 def _join(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    """``_reduce(left + right)`` for two freely reduced pieces: letters can
-    cancel only at the junction, so only that run is trimmed."""
+    """``_reduce(left + right)`` where two freely reduced words meet: letters
+    can cancel only at the junction, so only that run is trimmed."""
     k, most = 0, min(len(left), len(right))
     while k < most and left[-1 - k] == -right[k]:
         k += 1
@@ -189,13 +192,10 @@ def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in reversed(codes))
 
 
-def _word(alphabet: Alphabet, codes: Iterable[int]) -> Word:
-    """Trusted constructor: ``codes`` are valid for ``alphabet``; reduces them once."""
-    return _reduced_word(alphabet, _reduce(codes))
-
-
-def _reduced_word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
-    """Trusted constructor for codes valid for ``alphabet`` and freely reduced."""
+def _word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
+    """The one trusted constructor: stores ``codes``, a tuple valid for ``alphabet``
+    and freely reduced, as it is.  Callers run ``_reduce`` on spelled letters,
+    ``_join`` where two reduced words meet, and nothing where none can cancel."""
     w = object.__new__(Word)
     _set_alphabet(w, alphabet)
     _set_codes(w, codes)
@@ -210,14 +210,12 @@ def concat(u: Word, v: Word) -> Word:
     """Concatenate two words over the same alphabet and reduce."""
     if u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    return _word(u.alphabet, u.codes + v.codes)
+    return _word(u.alphabet, _join(u.codes, v.codes))
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """Return the reduced commutator u v u^-1 v^-1."""
-    if u.alphabet != v.alphabet:
-        raise ValueError("alphabet mismatch")
-    return _word(u.alphabet, u.codes + v.codes + _inverse(u.codes) + _inverse(v.codes))
+    """Return the reduced commutator u v u^-1 v^-1, joining its four reduced pieces."""
+    return concat(concat(u, v), concat(invert(u), invert(v)))
 
 
 class WordParseError(ValueError):
@@ -233,7 +231,7 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
     positions, for callers embedding word syntax in a larger grammar.  More
     than ``MAX_WORD_LETTERS`` letters before reduction is an error.
     """
-    return _word(alphabet, _spell(alphabet, text, offset=offset))
+    return _word(alphabet, _reduce(_spell(alphabet, text, offset=offset)))
 
 
 class WordTooLong(WordParseError):
@@ -398,4 +396,4 @@ def substitute(w: Word, m: GeneratorMap) -> Word:
     pieces: list[int] = []
     for c in w.codes:
         pieces += images[c]
-    return _word(m.codomain, pieces)
+    return _word(m.codomain, _reduce(pieces))

@@ -42,6 +42,14 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert set(data) == {"parent", "change"}
     run = data["change"]
     assert run["cores"] >= 1 and run["python"]
+    assert run["layers"]["words.concat_4000"]["letters"] == 8000
+    assert run["layers"]["words.shortlex_len8"]["words"] == 8748
+    assert run["layers"]["bs.equal_2000"]["letters"] == [2000, 2005]
+    assert run["layers"]["bs.equal_2000"]["equal"] is True
+    assert run["layers"]["bs.kernel1_20"]["words"] == 20
+    assert run["layers"]["bs.kernel1_20"]["last"] == "s^-1 t s t s^-1 t^-1 s t^-1"
+    for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.kernel1_20"):
+        assert run["layers"][layer]["ms"] > 0
     assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
     assert run["layers"]["search.iso_pinned"]["units"] == 6018
     assert run["layers"]["search.hom_doubling"]["steps"] == 744

@@ -3,6 +3,16 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st_
 
+from fpw.bs import BS23, apply_f, britton_reduce, bs_presentation, from_syllables, w_family
+from fpw.harness import _linear_witness
+from fpw.presentations import (
+    CertFactor,
+    FinitePresentation,
+    TrivialityCertificate,
+    certificate_word,
+    trivial_word_stream,
+)
+from fpw.tietze import AddGenerator, RemoveGenerator, apply_move
 from fpw.words import (
     MAX_WORD_LETTERS,
     Alphabet,
@@ -108,6 +118,19 @@ def test_word_operators():
     assert w("t") ** 3 == w("t^3")
     assert w("t") ** -2 == w("t^-2")
     assert (w("s t") ** 0).is_identity
+
+
+def test_power_caps_the_spelled_letters():
+    assert len(w("t") ** MAX_WORD_LETTERS) == MAX_WORD_LETTERS
+    assert len(w("t") ** -MAX_WORD_LETTERS) == MAX_WORD_LETTERS
+    # the cap counts letters before reduction: 3 * (2^20 // 3) = 2^20 - 1 spelled, then 3 past it
+    assert w("s t s^-1") ** (MAX_WORD_LETTERS // 3) == w(f"s t^{MAX_WORD_LETTERS // 3} s^-1")
+    with pytest.raises(ValueError, match=f"power spells more than {MAX_WORD_LETTERS} letters"):
+        w("s t s^-1") ** (MAX_WORD_LETTERS // 3 + 1)
+    for word, k in [("t", MAX_WORD_LETTERS + 1), ("t", -MAX_WORD_LETTERS - 1), ("s t", 10**9)]:
+        with pytest.raises(ValueError, match="power spells more than"):
+            w(word) ** k
+    assert (w("") ** 10**9).is_identity
 
 
 # ---------------------------------------------------------------- parsing and formatting
@@ -437,3 +460,37 @@ def test_join_at_junctions_matches_reduce(pieces):
     for piece in pieces:
         joined = _join(joined, piece)
     assert joined == _reduce(itertools.chain.from_iterable(pieces))
+
+
+def _assert_stored_reduced(*words):
+    for word in words:
+        assert type(word.codes) is tuple
+        assert _reduce(word.codes) == word.codes, format_word(word)
+
+
+BS = bs_presentation(BS23)
+
+
+@given(
+    letters_st, letters_st, st_.integers(-3, 3), st_.integers(0, 400), st_.integers(0, 3),
+    st_.integers(0, 8), st_.integers(0, 6), st_.integers(0, 300),
+)
+@example([("s", 1), ("t", 1)], [("t", -1), ("s", -1)], -2, 0, 0, 0, 0, 0)  # cancels at every junction
+def test_every_word_operation_stores_a_reduced_tuple(p1, p2, k, index, iterate, j, fam, emission):
+    """``_word`` trusts its codes, so each operation must hand it a freely reduced tuple."""
+    u, v = _word_of(ST, p1), _word_of(ST, p2)
+    m = GeneratorMap(ST, ST, (v, u))
+    _assert_stored_reduced(u, v, u * v, ~u, u ** k, commutator(u, v), substitute(u, m), m.then(m).images[0])
+    _assert_stored_reduced(ShortlexWords(ST)[index], *ShortlexWords(ST).of_length(iterate))
+    _assert_stored_reduced(from_syllables(britton_reduce(BS23, u * v)), apply_f(u, iterate))
+    _assert_stored_reduced(_linear_witness(j), w_family(fam))
+    added = apply_move(FinitePresentation(ST, (u * v, u)), AddGenerator("x", v))
+    removed = apply_move(added, RemoveGenerator("x", len(added.relators) - 1))
+    _assert_stored_reduced(*added.relators, *removed.relators)
+    cert = TrivialityCertificate((CertFactor(u, 0, 1), CertFactor(v, 0, -1), CertFactor(u, 0, -1)))
+    _assert_stored_reduced(certificate_word(BS, cert))
+    for text in (" ".join(f"{name}^{sign}" for name, sign in p1), "s s^-1 t"):
+        (factor,) = TrivialityCertificate.from_json(ST, [{"conj": text, "rel": 0, "sign": 1}]).factors
+        _assert_stored_reduced(factor.conjugator)
+    word, cert = next(itertools.islice(trivial_word_stream(BS), emission, None))
+    _assert_stored_reduced(word, *(f.conjugator for f in cert.factors))
