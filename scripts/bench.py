@@ -5,7 +5,7 @@
 Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
 
   * the word kernel: ``*`` of two 4000-letter words over {s, t}, and the
-    8748 reduced words of length 8 from a fresh ``ShortlexWords`` (ms);
+    8748 reduced words of length 8, read off a fresh ``shortlex_stream`` (ms);
   * ``bs_equal`` on two 2000-letter words that differ by one inserted
     BS(2,3) relator, and the first 20 words of ``kernel_stream(1)`` (ms);
   * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
@@ -22,6 +22,12 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     ``fpw`` module from ``sys.modules``, as the benchmark does on each pass
     (ms), and the KB one more re-import holds under tracemalloc once its
     garbage is collected.
+
+Each layer also records, as ``"gc": [g0, g1, g2]``, how many collections of
+each generation its calls triggered, read from ``gc.get_stats()``.  What a
+layer allocates sets how often the collector runs, and how often the full
+collection runs sets how much dead re-imported module garbage a long run
+holds at its peak.
 
 The results go under ``--label`` in the output file, next to what other
 labels it already holds, so one file can carry a parent and a change run
@@ -57,7 +63,7 @@ from fpw.search import (
     subgroup_presentation_search,
     verify_iso_witness,
 )
-from fpw.words import ShortlexWords, format_word, parse_word
+from fpw.words import format_word, parse_word, shortlex_stream
 
 
 def best_of(repeat: int, call) -> tuple[float, object]:
@@ -91,7 +97,7 @@ def measure(repeat: int) -> dict:
         return {"ms": secs * 1e3, "letters": len(uv)}
 
     def shortlex_len8():
-        secs, level = best_of(repeat, lambda: ShortlexWords(ST).of_length(8))
+        secs, level = best_of(repeat, lambda: list(itertools.islice(shortlex_stream(ST), 4373, 13121)))
         return {"ms": secs * 1e3, "words": len(level)}
 
     def equal_2000():
@@ -177,12 +183,19 @@ def measure(repeat: int) -> dict:
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
                       ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),
                       ("import.fpw_cli", reimport)]:  # last: it replaces the modules the others use
+        before = collections()
         try:
             layers[name] = run()
+            layers[name]["gc"] = [after - was for was, after in zip(before, collections())]
         except Exception:  # a broken layer is recorded as null, never a failed run
             traceback.print_exc()
             layers[name] = None
     return layers
+
+
+def collections() -> list[int]:
+    """Collections run so far, per generation."""
+    return [gen["collections"] for gen in gc.get_stats()]
 
 
 def main() -> None:

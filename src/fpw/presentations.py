@@ -16,13 +16,13 @@ from typing import Callable, Collection, Iterator, NamedTuple
 from .words import (
     MAX_WORD_LETTERS,
     Alphabet,
-    ShortlexWords,
     Word,
     WordParseError,
     WordTooLong,
     _inverse,
     _join,
     _reduce,
+    _shortlex_levels,
     _spell,
     _word,
     format_word,
@@ -354,9 +354,9 @@ def _emissions(
     stream, and an emission joins its reduced factors at their junctions.
     """
     pool = _RelatorPool(pres)
-    table = ShortlexWords(pres.generators)
+    conjugators = _shortlex_levels(pres.generators)
     # per length: each conjugator with its memo; memo[i][e] is c r_i^e c^-1 reduced
-    levels: dict[int, list[tuple[Word, list[dict[int, tuple[int, ...]]]]]] = {}
+    levels: list[list[tuple[Word, list[dict[int, tuple[int, ...]]]]]] = []
     yield (), (), (), ()
     for size in itertools.count(1):
         pool.ensure(size)
@@ -369,9 +369,8 @@ def _emissions(
             for max_idx in range(0, min(rest, pool.count - 1) + 1):
                 conj_total = rest - max_idx
                 for comp in _compositions(conj_total, n):
-                    for ln in comp:
-                        if ln not in levels:
-                            levels[ln] = [(c, []) for c in table.of_length(ln)]
+                    while len(levels) <= max(comp):
+                        levels.append([(c, []) for c in next(conjugators)])
                     for conjs in itertools.product(*(levels[ln] for ln in comp)):
                         for c, memo in conjs:
                             while len(memo) <= max_idx:

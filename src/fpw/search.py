@@ -42,7 +42,7 @@ from .presentations import (
     exponent_vector,
     smith_normal_form,
 )
-from .words import Alphabet, GeneratorMap, ShortlexWords, Word, invert, shortlex_stream, substitute
+from .words import Alphabet, GeneratorMap, Word, invert, shortlex_stream, shortlex_word, substitute
 
 WordOracle = Callable[[Word], bool]
 """A total decision procedure for one group's word problem."""
@@ -119,11 +119,12 @@ def decide_homomorphism(
     return all(oracle_cod(substitute(r, phi)) for r in dom.relators)
 
 
-def _map_at(domain: Alphabet, codomain_words: ShortlexWords, a: int) -> GeneratorMap:
+def _map_at(domain: Alphabet, codomain: Alphabet, a: int) -> GeneratorMap:
     """Candidate map a: a decodes through the Cantor tuple bijection to one
-    shortlex word index per domain generator."""
+    shortlex position per domain generator, each unranked to its word over
+    ``codomain`` in closed form."""
     idx = cantor_untuple(a, len(domain))
-    return GeneratorMap(domain, codomain_words.alphabet, tuple(codomain_words[i] for i in idx))
+    return GeneratorMap(domain, codomain, tuple(shortlex_word(codomain, i) for i in idx))
 
 
 class _AbelianTester:
@@ -174,11 +175,12 @@ class _Side:
     """One presentation as one search sees it.  Its raw certificate stream is
     pulled lazily, at most ``cap`` emissions deep, and ``first`` maps the
     codes of each distinct word of that prefix to its first emission position
-    (from 1); every candidate pair of the search reads the same prefix."""
+    (from 1); every candidate pair of the search reads the same prefix.
+    Candidate maps into this side's words are unranked on demand and memoised
+    with their exponent vectors, since the Cantor order revisits each one."""
 
     def __init__(self, pres: FinitePresentation, cap: int):
         self.pres = pres
-        self.words = ShortlexWords(pres.generators)
         self.abelian = _AbelianTester(pres)
         self.relator_vectors = exponent_matrix(pres).entries
         self.cap = cap
@@ -193,7 +195,7 @@ class _Side:
         exponent vector of each image, decoded once for the life of the side."""
         hit = self._maps.get((domain, a))
         if hit is None:
-            phi = _map_at(domain, self.words, a)
+            phi = _map_at(domain, self.pres.generators, a)
             hit = self._maps[domain, a] = (phi, [exponent_vector(phi.codomain, img) for img in phi.images])
         return hit
 

@@ -4,11 +4,13 @@ Words are tuples of integer letter codes, +-(generator index + 1), the way
 GAP and kbmag store them.  Letters are validated where they enter (parsing,
 ``GeneratorMap``, certificate JSON); every public operation returns words in
 freely reduced form, reducing only where letters can cancel (see ``_word``).
+Reduced words have one shortlex order: ``shortlex_stream`` enumerates it level
+by level and ``shortlex_word`` unranks any position of it, and neither keeps
+a table of the words it has built.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 from typing import Iterable, Iterator, NamedTuple
@@ -280,47 +282,41 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-class ShortlexWords:
-    """The reduced words over one alphabet in shortlex order, with random access.
-
-    The letter order is the alphabet's declaration order with each generator
-    immediately followed by its inverse.  Words come sorted by length, ties
-    broken lexicographically, so the order is reproducible byte for byte.
-    Each length is built on first use and kept, so memory grows with the
-    longest length visited; every stream or table owns its own instance.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._order = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
-        self._levels: list[list[Word]] = [[_word(alphabet, ())]]
-        # _starts[n]: position of the first word of length n; the last entry
-        # is the count of words built
-        self._starts = [0, 1]
-
-    def of_length(self, n: int) -> list[Word]:
-        """Every reduced word of length ``n``, in shortlex order."""
-        while len(self._levels) <= n:
-            self._levels.append([
-                _word(self.alphabet, w.codes + (c,))
-                for w in self._levels[-1]
-                for c in self._order
-                if not w.codes or c != -w.codes[-1]
-            ])
-            self._starts.append(self._starts[-1] + len(self._levels[-1]))
-        return self._levels[n]
-
-    def __getitem__(self, i: int) -> Word:
-        """The word at position ``i`` (from 0) of the shortlex order."""
-        while self._starts[-1] <= i:
-            self.of_length(len(self._levels))
-        n = bisect.bisect_right(self._starts, i) - 1
-        return self._levels[n][i - self._starts[n]]
+def _shortlex_levels(alphabet: Alphabet) -> Iterator[list[Word]]:
+    """The reduced words of length 0, 1, 2, ... over ``alphabet``, one list per
+    length in shortlex order, letters ranked by ``_rank``.  Each level is
+    built whole from the one before when it is asked for; nothing older is
+    kept."""
+    order = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+    level = [_word(alphabet, ())]
+    while True:
+        yield level
+        level = [_word(alphabet, w.codes + (c,)) for w in level for c in order if not w.codes or c != -w.codes[-1]]
 
 
 def shortlex_stream(alphabet: Alphabet) -> Iterator[Word]:
     """Yield every reduced word over the alphabet exactly once, in shortlex order."""
-    return itertools.chain.from_iterable(map(ShortlexWords(alphabet).of_length, itertools.count()))
+    return itertools.chain.from_iterable(_shortlex_levels(alphabet))
+
+
+def shortlex_word(alphabet: Alphabet, i: int) -> Word:
+    """The word at position ``i`` (from 0) of ``shortlex_stream(alphabet)``, in
+    closed form: a word of length n >= 1 has 2g choices of first letter and
+    2g - 1 of each later one, the ``_rank`` order less the inverse of the
+    letter before, so ``i`` past the shorter levels is a mixed-radix number."""
+    if i < 0:
+        raise ValueError(f"negative shortlex position: {i}")
+    choices, n, size = 2 * len(alphabet), 0, 1
+    while i >= size:
+        i, n, size = i - size, n + 1, choices * (choices - 1) ** n
+    codes: list[int] = []
+    for _ in range(n):
+        size //= choices - 1 if codes else choices
+        d, i = divmod(i, size)
+        if codes and d >= _rank(-codes[-1]):
+            d += 1
+        codes.append((-1) ** d * (d // 2 + 1))
+    return _word(alphabet, tuple(codes))
 
 
 class GeneratorMap(NamedTuple("GeneratorMap", [("domain", Alphabet), ("codomain", Alphabet), ("images", tuple)])):

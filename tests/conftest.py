@@ -1,7 +1,9 @@
+import bisect
+
 import pytest
 
 from fpw.bs import ST, bs_presentation, BS23
-from fpw.words import Alphabet, parse_word
+from fpw.words import Alphabet, Word, _word, parse_word
 
 
 @pytest.fixture
@@ -21,3 +23,43 @@ def w(text, alphabet=ST):
 
 def alpha(*names):
     return Alphabet.of(*names)
+
+
+# The shortlex table fpw kept before positions were unranked in closed form;
+# the oracle of the stateless enumerator in fpw.words.
+class ShortlexWords:
+    """The reduced words over one alphabet in shortlex order, with random access.
+
+    The letter order is the alphabet's declaration order with each generator
+    immediately followed by its inverse.  Words come sorted by length, ties
+    broken lexicographically, so the order is reproducible byte for byte.
+    Each length is built on first use and kept, so memory grows with the
+    longest length visited; every stream or table owns its own instance.
+    """
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+        self._order = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+        self._levels: list[list[Word]] = [[_word(alphabet, ())]]
+        # _starts[n]: position of the first word of length n; the last entry
+        # is the count of words built
+        self._starts = [0, 1]
+
+    def of_length(self, n: int) -> list[Word]:
+        """Every reduced word of length ``n``, in shortlex order."""
+        while len(self._levels) <= n:
+            self._levels.append([
+                _word(self.alphabet, w.codes + (c,))
+                for w in self._levels[-1]
+                for c in self._order
+                if not w.codes or c != -w.codes[-1]
+            ])
+            self._starts.append(self._starts[-1] + len(self._levels[-1]))
+        return self._levels[n]
+
+    def __getitem__(self, i: int) -> Word:
+        """The word at position ``i`` (from 0) of the shortlex order."""
+        while self._starts[-1] <= i:
+            self.of_length(len(self._levels))
+        n = bisect.bisect_right(self._starts, i) - 1
+        return self._levels[n][i - self._starts[n]]

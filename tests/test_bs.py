@@ -27,7 +27,7 @@ from fpw.bs import (
     w_family,
 )
 from fpw.harness import tower_oracle
-from fpw.words import MAX_WORD_LETTERS, Alphabet, ShortlexWords, parse_word, shortlex_stream, substitute
+from fpw.words import MAX_WORD_LETTERS, Alphabet, parse_word, shortlex_stream, shortlex_word, substitute
 
 from conftest import w
 
@@ -328,9 +328,8 @@ def test_syllable_kernel_predicate_matches_spelled_out_images():
     # levels 0..6 over the first 3000 shortlex words, against f^i(w) spelled
     # out by iterated substitution and decided by Britton reduction
     f = doubling_map()
-    words = ShortlexWords(ST)
     for index in range(3000):
-        word = image = words[index]
+        word = image = shortlex_word(ST, index)
         for i in range(7):
             assert apply_f(word, i) == image
             assert in_kernel(word, i) == bs_is_trivial(BS23, image)
@@ -424,9 +423,8 @@ def _unclamped_in_kernel(word, i):
 
 def test_level_clamp_matches_the_unclamped_predicate():
     # in_kernel(w, i) == in_kernel(w, min(i, c)) for c the number of s-letters
-    words = ShortlexWords(ST)
     for index in range(3000):
-        word = words[index]
+        word = shortlex_word(ST, index)
         c = len(to_syllables(word).s_signs)
         for i in (c, c + 1, c + 3):
             assert in_kernel(word, i) == _unclamped_in_kernel(word, i)

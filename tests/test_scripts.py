@@ -65,3 +65,6 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["cli.demo_non_hopfian"]["ms"] > 0
     assert run["layers"]["import.fpw_cli"]["ms"] > 0
     assert 0 < run["layers"]["import.fpw_cli"]["kb_held"] < 2000
+    for name, layer in run["layers"].items():
+        assert len(layer["gc"]) == 3 and all(isinstance(n, int) and n >= 0 for n in layer["gc"]), name
+    assert run["layers"]["import.fpw_cli"]["gc"][2] >= 2  # its own two gc.collect() calls

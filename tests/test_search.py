@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st_
 
 import fpw.search
 from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation, doubling_map
-from fpw.harness import cantor_pair, cantor_tuple, cantor_unpair
+from fpw.harness import cantor_pair, cantor_tuple, cantor_unpair, cantor_untuple
 from fpw.presentations import (
     Exhausted,
     FinitePresentation,
@@ -35,9 +35,9 @@ from fpw.search import (
     _round_trips,
     _Side,
 )
-from fpw.words import Alphabet, GeneratorMap, ShortlexWords, parse_word, substitute
+from fpw.words import Alphabet, GeneratorMap, parse_word, shortlex_word, substitute
 
-from conftest import w
+from conftest import ShortlexWords, w
 
 X = Alphabet.of("x")
 Z2 = parse_presentation("< x | x^2 >")
@@ -353,6 +353,12 @@ class _OraclePairScanner:
         self.ab_right = _OracleAbelianTester(right)
         self.next_pair = 0
 
+    @staticmethod
+    def decode(domain, codomain_words, a):
+        """Candidate map a, its images read off the shortlex table."""
+        idx = cantor_untuple(a, len(domain))
+        return GeneratorMap(domain, codomain_words.alphabet, tuple(codomain_words[i] for i in idx))
+
     def targets(self, phi, psi):
         left_targets = {substitute(rel, psi) for rel in self.right.relators}
         left_targets.update(_round_trips(phi, psi))
@@ -369,8 +375,8 @@ class _OraclePairScanner:
     def attempt_next(self):
         a, b = cantor_unpair(self.next_pair)
         self.next_pair += 1
-        phi = _map_at(self.left.generators, self.right_words, a)
-        psi = _map_at(self.right.generators, self.left_words, b)
+        phi = self.decode(self.left.generators, self.right_words, a)
+        psi = self.decode(self.right.generators, self.left_words, b)
         if not self.abelian_ok(phi, psi):
             return None, 0
         left_targets, right_targets = self.targets(phi, psi)
@@ -436,14 +442,14 @@ def test_pair_scanner_matches_the_lockstep_oracle(per_side):
 
 def _pair_index(scanner, phi_text, psi_text):
     """The candidate pair index z at which ``scanner`` decodes the given maps."""
-    def index(words, image):
-        return next(i for i in itertools.count() if words[i] == image)
+    def index(alphabet, image):
+        return next(i for i in itertools.count() if shortlex_word(alphabet, i) == image)
 
     left, right = scanner.left, scanner.right
     phi = GeneratorMap.parse(left.pres.generators, right.pres.generators, phi_text)
     psi = GeneratorMap.parse(right.pres.generators, left.pres.generators, psi_text)
-    a = cantor_tuple(tuple(index(right.words, img) for img in phi.images))
-    b = cantor_tuple(tuple(index(left.words, img) for img in psi.images))
+    a = cantor_tuple(tuple(index(right.pres.generators, img) for img in phi.images))
+    b = cantor_tuple(tuple(index(left.pres.generators, img) for img in psi.images))
     return cantor_pair(a, b)
 
 
@@ -489,8 +495,8 @@ def test_pair_scanner_when_a_finite_stream_fails_first(left, right, phi_text, ps
 def test_exponent_vector_filter_matches_the_word_filter(left, right, a, b):
     oracle = _OraclePairScanner(left, right, 0)
     ls, rs = _Side(left, 0), _Side(right, 0)
-    phi = _map_at(left.generators, rs.words, a)
-    psi = _map_at(right.generators, ls.words, b)
+    phi = _map_at(left.generators, right.generators, a)
+    psi = _map_at(right.generators, left.generators, b)
     m_phi = [exponent_vector(right.generators, img) for img in phi.images]
     m_psi = [exponent_vector(left.generators, img) for img in psi.images]
     by_vectors = ls.abelian.passes(rs.relator_vectors, m_phi, m_psi) and rs.abelian.passes(

@@ -27,7 +27,9 @@ from fpw.presentations import (
     _emissions,
     _RelatorPool,
 )
-from fpw.words import Alphabet, ShortlexWords, format_word, invert, parse_word, _inverse, _reduce
+from fpw.words import Alphabet, format_word, invert, parse_word, _inverse, _reduce
+
+from conftest import ShortlexWords
 
 EMISSIONS = 50_000
 
