@@ -8,6 +8,12 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     8748 reduced words of length 8, read off a fresh ``shortlex_stream`` (ms);
   * ``bs_equal`` on two 2000-letter words that differ by one inserted
     BS(2,3) relator, and the first 20 words of ``kernel_stream(1)`` (ms);
+  * ``tower_oracle(level)`` for levels 0-3 over the first 20,000 words of
+    ``shortlex_stream(ST)``, built once beforehand, with the words each level
+    accepts (ms per level and in all);
+  * cardinality recovery over every subset W of range(10) with |W| <= 3:
+    ``compress_stream`` -> ``tower_oracle`` -> ``recover_cardinality(_, 4)``,
+    with the subsets whose |W| it does not recover (ms);
   * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
   * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
     relator conjugated by t (ms, and candidate pairs/s);
@@ -55,6 +61,7 @@ from pathlib import Path
 
 from fpw import cli
 from fpw.bs import BS23, ST, bs_equal, bs_is_trivial, bs_presentation, doubling_map, kernel_stream
+from fpw.harness import compress_stream, recover_cardinality, tower_oracle
 from fpw.presentations import FinitePresentation, parse_presentation, semidecide_trivial, trivial_word_stream
 from fpw.search import (
     SearchBudget,
@@ -110,6 +117,25 @@ def measure(repeat: int) -> dict:
     def kernel1_20():
         secs, words = best_of(repeat, lambda: list(itertools.islice(kernel_stream(1), 20)))
         return {"ms": secs * 1e3, "words": len(words), "last": format_word(words[-1])}
+
+    def kernel_density_20000():
+        words = list(itertools.islice(shortlex_stream(ST), 20000))
+        level_ms, hits = [], []
+        for level in range(4):
+            oracle = tower_oracle(level)
+            secs, n = best_of(repeat, lambda: sum(map(oracle, words)))
+            level_ms.append(secs * 1e3)
+            hits.append(n)
+        return {"ms": sum(level_ms), "level_ms": level_ms, "hits": hits}
+
+    def recover_sweep():
+        subsets = [w for size in range(4) for w in itertools.combinations(range(10), size)]
+
+        def run():
+            return [w for w in subsets
+                    if recover_cardinality(tower_oracle(sum(1 for _ in compress_stream(w))), 4) != len(w)]
+        secs, mismatches = best_of(repeat, run)
+        return {"ms": secs * 1e3, "subsets": len(subsets), "mismatches": len(mismatches)}
 
     def stream():
         secs, _ = best_of(repeat, lambda: list(itertools.islice(trivial_word_stream(bs), 744)))
@@ -178,6 +204,8 @@ def measure(repeat: int) -> dict:
     layers = {}
     for name, run in [("words.concat_4000", concat_4000), ("words.shortlex_len8", shortlex_len8),
                       ("bs.equal_2000", equal_2000), ("bs.kernel1_20", kernel1_20),
+                      ("harness.kernel_density_20000", kernel_density_20000),
+                      ("harness.recover_sweep", recover_sweep),
                       ("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),

@@ -69,10 +69,6 @@ class SyllableWord(NamedTuple("SyllableWord", [("t_runs", tuple), ("s_signs", tu
         return tuple.__new__(cls, (runs, signs))
 
     @property
-    def s_count(self) -> int:
-        return len(self.s_signs)
-
-    @property
     def is_identity(self) -> bool:
         return not self.s_signs and self.t_runs[0] == 0
 

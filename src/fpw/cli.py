@@ -408,6 +408,10 @@ def _cmd_demo_recover_card(args) -> int:
     w_set = ExplicitFiniteSet.parse(args.set)
     oracle = tower_oracle(len(w_set))
     k = recover_cardinality(oracle, args.kmax)
+    if k > args.kmax:
+        # past its bound the recovery only knows that v_0 .. v_{kmax+1} all die
+        print(f"|W| >= {args.kmax + 1} (raise --kmax to recover it)")
+        return EXIT_BUDGET
     print(f"|W| = {k}")
     return EXIT_OK
 

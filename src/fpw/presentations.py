@@ -77,10 +77,6 @@ class RecursivePresentation(NamedTuple):
     def relator_stream(self) -> Iterator[Word]:
         return self.relator_source()
 
-    @classmethod
-    def from_finite(cls, pres: FinitePresentation) -> "RecursivePresentation":
-        return cls(pres.generators, lambda: iter(pres.relators))
-
 
 Presentation = FinitePresentation | RecursivePresentation
 
@@ -333,7 +329,7 @@ def trivial_word_stream(
     This wraps each emission of the raw stream ``_emissions`` in a word and a
     certificate; the budgeted searches read the raw stream and build a
     certificate only for a word they keep.  The stream may emit the same
-    word under different certificates; use ``unique_words`` to deduplicate.
+    word under different certificates.
     """
     for codes, conjs, idxs, signs in _emissions(pres):
         yield _word(pres.generators, codes), _certificate(conjs, idxs, signs)
@@ -386,17 +382,6 @@ def _emissions(
                                 for factor, e in zip(tail, signs[1:]):
                                     codes = _join(codes, factor[e])
                                 yield codes, words, idxs, signs
-
-
-def unique_words(
-    stream: Iterator[tuple[Word, TrivialityCertificate]]
-) -> Iterator[tuple[Word, TrivialityCertificate]]:
-    """Pass through only the first certificate seen for each distinct word."""
-    seen: set[Word] = set()
-    for w, cert in stream:
-        if w not in seen:
-            seen.add(w)
-            yield w, cert
 
 
 class ProvedTrivial(NamedTuple):

@@ -351,31 +351,3 @@ def subgroup_presentation_search(
                 return SubgroupFound(len(pk.relators), pk, witness, steps=units)
     return Exhausted(units)
 
-
-class LiftReport(NamedTuple):
-    """The generator map W_i -> gens[i] together with what was verified.
-
-    Only the homomorphism direction is checked; nothing here certifies
-    injectivity, and ``injectivity_certified`` records that honestly.
-    """
-
-    mapping: GeneratorMap
-    homomorphism_verified: bool
-    injectivity_certified: bool
-
-
-def hopfian_lift(
-    gens: Sequence[Word], pres_k: FinitePresentation, oracle_parent: WordOracle
-) -> LiftReport:
-    """Map a found subgroup presentation onto the subgroup generators."""
-    if len(gens) != len(pres_k.generators.generators):
-        raise ValueError(
-            f"arity mismatch: {len(gens)} generator words for "
-            f"{len(pres_k.generators.generators)} presentation generators"
-        )
-    alphabets = {g.alphabet for g in gens}
-    if len(alphabets) != 1:
-        raise ValueError("subgroup generator words must share one alphabet")
-    mapping = GeneratorMap(pres_k.generators, alphabets.pop(), tuple(gens))
-    verified = decide_homomorphism(mapping, pres_k, oracle_parent)
-    return LiftReport(mapping, verified, injectivity_certified=False)

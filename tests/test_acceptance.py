@@ -17,7 +17,6 @@ from fpw.bs import (
     bs_equal,
     bs_is_trivial,
     bs_presentation,
-    doubling_map,
     w_family,
 )
 from fpw.cli import main as cli_main

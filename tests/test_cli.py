@@ -464,6 +464,13 @@ def test_demo_recover_card(capsys):
     assert (code, out) == (EXIT_OK, "|W| = 0\n")
 
 
+@pytest.mark.parametrize("argv", [["--set", "1,2,3,4,5,6,7,8", "--kmax", "5"], ["--set", "1,2,3,4,5,6,7"]])
+def test_demo_recover_card_past_kmax_refuses_to_name_a_cardinality(capsys, argv):
+    # the level-|W| oracle kills every witness up to v_{kmax+1}, so only a lower bound is known
+    code, out, _ = run(capsys, "demo", "recover-card", *argv)
+    assert (code, out) == (EXIT_BUDGET, "|W| >= 6 (raise --kmax to recover it)\n")
+
+
 # ---------------------------------------------------------------- exit codes and determinism
 
 

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from fpw.bs import BS23, ST, apply_f, bs_is_trivial, w_family
+from fpw.bs import BS23, ST, bs_is_trivial, w_family
 from fpw.harness import (
     ExplicitFiniteSet,
     _linear_witness,

@@ -14,8 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script,args",
     [
-        ("kernel_census.py", ["--levels", "1", "--count", "2", "--scan", "50"]),
-        ("recover_cardinality_sweep.py", ["--universe", "3", "--max-size", "1", "--k-max", "2"]),
         ("stream_budget_census.py", ["--max-len", "2", "--stream-cap", "200"]),
     ],
 )
@@ -48,7 +46,11 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["bs.equal_2000"]["equal"] is True
     assert run["layers"]["bs.kernel1_20"]["words"] == 20
     assert run["layers"]["bs.kernel1_20"]["last"] == "s^-1 t s t s^-1 t^-1 s t^-1"
-    for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.kernel1_20"):
+    assert run["layers"]["harness.kernel_density_20000"]["hits"] == [25, 45, 45, 45]
+    assert run["layers"]["harness.recover_sweep"]["subsets"] == 176
+    assert run["layers"]["harness.recover_sweep"]["mismatches"] == 0
+    for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.kernel1_20",
+                  "harness.kernel_density_20000", "harness.recover_sweep"):
         assert run["layers"][layer]["ms"] > 0
     assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
     assert run["layers"]["search.iso_pinned"]["units"] == 6018

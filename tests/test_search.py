@@ -20,12 +20,10 @@ from fpw.presentations import (
 from fpw.search import (
     Found,
     IsoWitness,
-    LiftReport,
     Proved,
     SearchBudget,
     SubgroupFound,
     decide_homomorphism,
-    hopfian_lift,
     iso_search,
     semidecide_homomorphism,
     subgroup_presentation_search,
@@ -270,39 +268,6 @@ def test_subgroup_search_determinism():
     a = subgroup_presentation_search(pres, bs_oracle, [w("t")], Z_FREE, SearchBudget(400, 60))
     b = subgroup_presentation_search(pres, bs_oracle, [w("t")], Z_FREE, SearchBudget(400, 60))
     assert a == b
-
-
-# ---------------------------------------------------------------- lifting
-
-
-def test_hopfian_lift_free_presentation():
-    pres_k = FinitePresentation(Alphabet.of("W1"), ())
-    report = hopfian_lift([w("t")], pres_k, bs_oracle)
-    assert isinstance(report, LiftReport)
-    assert report.mapping.format() == "W1=t"
-    assert report.homomorphism_verified
-    assert not report.injectivity_certified
-
-
-def test_hopfian_lift_checks_relators():
-    pres_k = parse_presentation("< W1 | W1^2 >")
-    good = hopfian_lift([parse_word(X, "x")], pres_k, parity_oracle)
-    assert good.homomorphism_verified
-    bad = hopfian_lift([w("t")], pres_k, bs_oracle)  # t^2 is not trivial
-    assert not bad.homomorphism_verified
-    assert not bad.injectivity_certified
-
-
-def test_hopfian_lift_arity_mismatch():
-    pres_k = parse_presentation("< W1, W2 | >")
-    with pytest.raises(ValueError):
-        hopfian_lift([w("t")], pres_k, bs_oracle)
-
-
-def test_hopfian_lift_mixed_alphabets_rejected():
-    pres_k = parse_presentation("< W1, W2 | >")
-    with pytest.raises(ValueError):
-        hopfian_lift([w("t"), parse_word(X, "x")], pres_k, bs_oracle)
 
 
 # ---------------------------------------------------------------- scanner oracle
