@@ -8,6 +8,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     8748 reduced words of length 8, read off a fresh ``shortlex_stream`` (ms);
   * ``bs_equal`` on two 2000-letter words that differ by one inserted
     BS(2,3) relator, and the first 20 words of ``kernel_stream(1)`` (ms);
+  * ``britton_reduce_counted`` against nesting depth j, with the pinches it
+    counts (j each): BS(2,3) on s^-j t^(2^j) s^j for j = 4, 8, 12, 16 and
+    BS(1,3) on s^-j t s^j for j = 1000, 2000, 4000 (ms per depth);
   * ``tower_oracle(level)`` for levels 0-3 over the first 20,000 words of
     ``shortlex_stream(ST)``, built once beforehand, with the words each level
     accepts (ms per level and in all);
@@ -22,8 +25,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
   * ``semidecide_homomorphism`` for the doubling map (ms);
   * ``semidecide_trivial`` on the word of BS(2,3)'s 300th emission (ms);
   * ``verify_iso_witness`` on the pinned pair's witness at budget 2000 (ms);
-  * in-process ``fpw check-cert`` on a one-factor BS(2,3) certificate and
-    ``fpw demo non-hopfian``, stdout captured (ms);
+  * in-process ``fpw check-cert`` on a one-factor BS(2,3) certificate,
+    ``fpw demo non-hopfian`` and ``fpw demo recover-card``, stdout
+    captured (ms);
   * last, a fresh re-import of ``fpw`` and ``fpw.cli`` after dropping every
     ``fpw`` module from ``sys.modules``, as the benchmark does on each pass
     (ms), and the KB one more re-import holds under tracemalloc once its
@@ -60,7 +64,17 @@ import tracemalloc
 from pathlib import Path
 
 from fpw import cli
-from fpw.bs import BS23, ST, bs_equal, bs_is_trivial, bs_presentation, doubling_map, kernel_stream
+from fpw.bs import (
+    BS23,
+    ST,
+    BSParams,
+    britton_reduce_counted,
+    bs_equal,
+    bs_is_trivial,
+    bs_presentation,
+    doubling_map,
+    kernel_stream,
+)
 from fpw.harness import compress_stream, recover_cardinality, tower_oracle
 from fpw.presentations import FinitePresentation, parse_presentation, semidecide_trivial, trivial_word_stream
 from fpw.search import (
@@ -117,6 +131,23 @@ def measure(repeat: int) -> dict:
     def kernel1_20():
         secs, words = best_of(repeat, lambda: list(itertools.islice(kernel_stream(1), 20)))
         return {"ms": secs * 1e3, "words": len(words), "last": format_word(words[-1])}
+
+    def britton_depth():
+        series = {
+            "bs23": (BS23, {j: f"s^-{j} t^{2 ** j} s^{j}" for j in (4, 8, 12, 16)}),
+            "bs13": (BSParams(1, 3), {j: f"s^-{j} t s^{j}" for j in (1000, 2000, 4000)}),
+        }
+        out = {"ms": 0.0}
+        for key, (params, texts) in series.items():
+            depth_ms, pinches = [], []
+            for text in texts.values():
+                word = parse_word(ST, text)
+                secs, (_, count) = best_of(repeat, lambda: britton_reduce_counted(params, word))
+                depth_ms.append(secs * 1e3)
+                pinches.append(count)
+            out[key] = {"depth": list(texts), "ms": depth_ms, "pinches": pinches}
+            out["ms"] += sum(depth_ms)
+        return out
 
     def kernel_density_20000():
         words = list(itertools.islice(shortlex_stream(ST), 20000))
@@ -203,13 +234,15 @@ def measure(repeat: int) -> dict:
 
     layers = {}
     for name, run in [("words.concat_4000", concat_4000), ("words.shortlex_len8", shortlex_len8),
-                      ("bs.equal_2000", equal_2000), ("bs.kernel1_20", kernel1_20),
+                      ("bs.equal_2000", equal_2000), ("bs.britton_depth", britton_depth),
+                      ("bs.kernel1_20", kernel1_20),
                       ("harness.kernel_density_20000", kernel_density_20000),
                       ("harness.recover_sweep", recover_sweep),
                       ("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
                       ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),
+                      ("cli.demo_recover_card", cli_call("demo", "recover-card")),
                       ("import.fpw_cli", reimport)]:  # last: it replaces the modules the others use
         before = collections()
         try:

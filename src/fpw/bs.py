@@ -1,8 +1,9 @@
 """The groups BS(m,n) = < s, t | s^-1 t^m s = t^n > and their word problem.
 
-Words are carried in syllable form t^{a0} s^{e1} t^{a1} ... s^{ek} t^{ak}
-with arbitrary-precision t-exponents.  Britton reduction rewrites pinches,
-leftmost first, in one left-to-right stack pass:
+Words over the alphabet ST = {s, t}, and no other, are read into syllable
+form t^{a0} s^{e1} t^{a1} ... s^{ek} t^{ak} with arbitrary-precision
+t-exponents.  Britton reduction rewrites pinches, leftmost first, in one
+left-to-right stack pass:
 
     s^-1 t^k s  ->  t^(k n / m)   when m | k
     s    t^k s^-1 -> t^(k m / n)  when n | k
@@ -45,28 +46,11 @@ class BSParams(NamedTuple("BSParams", [("m", int), ("n", int)])):
 BS23 = BSParams(2, 3)
 
 
-class SyllableWord(NamedTuple("SyllableWord", [("t_runs", tuple), ("s_signs", tuple)])):
-    """Alternating form: t_runs[0] s^{s_signs[0]} t_runs[1] ... t_runs[k].
+class SyllableWord(NamedTuple):
+    """The output record t_runs[0] s^{s_signs[0]} t_runs[1] ... t_runs[k] of ``to_syllables`` and the solver."""
 
-    Normalized on construction: an interior zero t-run between s-letters of
-    opposite sign cancels that pair (free reduction); a zero run between
-    s-letters of equal sign is kept, since s^e t^0 s^e is just s^(2e).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, t_runs: tuple[int, ...], s_signs: tuple[int, ...]):
-        if len(t_runs) != len(s_signs) + 1:
-            raise ValueError("need exactly one more t-run than s-letters")
-        if any(e not in (1, -1) for e in s_signs):
-            raise ValueError("s-letter signs must be +1 or -1")
-        runs, signs, _ = _pinch(t_runs, s_signs, 0, 0)
-        return cls._normal(runs, signs)
-
-    @classmethod
-    def _normal(cls, runs: tuple[int, ...], signs: tuple[int, ...]) -> "SyllableWord":
-        """Trusted constructor for runs free of cancellations: a reduced word's, or ``_pinch``'s."""
-        return tuple.__new__(cls, (runs, signs))
+    t_runs: tuple[int, ...]
+    s_signs: tuple[int, ...]
 
     @property
     def is_identity(self) -> bool:
@@ -87,17 +71,17 @@ def _pinch(runs, signs, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...
     """Rewrite the pinches of BS(m,n), leftmost first, in one stack pass; count them.
 
     The stack holds no pinch, so a pushed s-letter can only close the leftmost
-    one, with the stack top.  With m = n = 0 only zero runs pinch: free cancellation.
+    one, with the stack top.  A zero run pinches under the same rule.
     """
     out_runs, out_signs, pinches = [runs[0]], [], 0
     for e, a in zip(signs, runs[1:]):
         if out_signs and out_signs[-1] == -e:
             k = out_runs[-1]
             div, mul = (m, n) if e == 1 else (n, m)
-            if k == 0 or div and k % div == 0:
+            if k % div == 0:
                 out_signs.pop()
                 out_runs.pop()
-                out_runs[-1] += (k // div * mul if k else 0) + a
+                out_runs[-1] += k // div * mul + a
                 pinches += 1
                 continue
         out_signs.append(e)
@@ -106,20 +90,19 @@ def _pinch(runs, signs, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def to_syllables(w: Word) -> SyllableWord:
-    """Convert a word over a sub-alphabet of {s, t} to syllable form."""
-    names = w.alphabet.names()
-    s, t = (names.index(x) + 1 if x in names else 0 for x in ("s", "t"))
-    runs = [0]
-    signs: list[int] = []
+    """Read a word over ST = {s, t} into syllable form: s is code 1, t code 2."""
+    if w.alphabet != ST:
+        raise ValueError("word is not over the alphabet {s, t}")
+    runs, signs = [0], []
     for c in w.codes:
-        if c == t or c == -t:
-            runs[-1] += 1 if c > 0 else -1
-        elif c == s or c == -s:
-            signs.append(1 if c > 0 else -1)
-            runs.append(0)
+        if c == 2:
+            runs[-1] += 1
+        elif c == -2:
+            runs[-1] -= 1
         else:
-            raise ValueError(f"foreign generator {names[abs(c) - 1]!r}; expected only s, t")
-    return SyllableWord._normal(tuple(runs), tuple(signs))
+            signs.append(c)
+            runs.append(0)
+    return SyllableWord(tuple(runs), tuple(signs))
 
 
 def from_syllables(sw: SyllableWord) -> Word:
@@ -132,19 +115,13 @@ def from_syllables(sw: SyllableWord) -> Word:
 
 
 def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int]:
-    """Britton-reduce and also report how many pinches were rewritten.
+    """Rewrite pinches leftmost-first until none remain; count them.
 
     Each pinch removes exactly two s-letters and nothing else removes any, so
     the count always equals (initial s-count - final s-count) / 2.
     """
-    sw = to_syllables(w)
-    runs, signs, pinches = _pinch(sw.t_runs, sw.s_signs, params.m, params.n)
-    return SyllableWord._normal(runs, signs), pinches
-
-
-def britton_reduce(params: BSParams, w: Word) -> SyllableWord:
-    """Rewrite pinches leftmost-first until none remain."""
-    return britton_reduce_counted(params, w)[0]
+    runs, signs, pinches = _pinch(*to_syllables(w), params.m, params.n)
+    return SyllableWord(runs, signs), pinches
 
 
 def bs_is_trivial(params: BSParams, w: Word) -> bool:
@@ -153,7 +130,7 @@ def bs_is_trivial(params: BSParams, w: Word) -> bool:
     A Britton-reduced word with an s-letter is never trivial, and t has
     infinite order, so triviality means reducing all the way to t^0.
     """
-    return britton_reduce(params, w).is_identity
+    return _pinch(*to_syllables(w), params.m, params.n)[0] == (0,)
 
 
 def bs_equal(params: BSParams, u: Word, v: Word) -> bool:
@@ -175,8 +152,6 @@ def _doubled(w: Word, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The runs and signs of f^i(w): f^i fixes s and multiplies every t-run by 2^i."""
     if i < 0:
         raise ValueError("iterate must be >= 0")
-    if w.alphabet != ST:
-        raise ValueError("word is not over the alphabet {s, t}")
     sw = to_syllables(w)
     return tuple(a << i for a in sw.t_runs), sw.s_signs
 
@@ -190,7 +165,7 @@ def apply_f(w: Word, i: int) -> Word:
     runs, signs = _doubled(w, min(i, MAX_WORD_LETTERS.bit_length()))
     if len(signs) + sum(map(abs, runs)) > MAX_WORD_LETTERS:
         raise ValueError(f"f^{i}(w) would have more than {MAX_WORD_LETTERS} letters")
-    return from_syllables(SyllableWord._normal(runs, signs))
+    return from_syllables(SyllableWord(runs, signs))
 
 
 def in_kernel(w: Word, i: int) -> bool:

@@ -16,7 +16,6 @@ from fpw.bs import (
     bs_equal,
     bs_is_trivial,
     bs_presentation,
-    britton_reduce,
     britton_reduce_counted,
     doubling_map,
     f_preimage_witnesses,
@@ -46,19 +45,6 @@ def test_to_syllables_examples():
     assert to_syllables(w("s")) == SyllableWord((0, 0), (1,))
 
 
-def test_syllable_word_validation():
-    with pytest.raises(ValueError):
-        SyllableWord((0,), (1,))  # runs/signs length mismatch
-    with pytest.raises(ValueError):
-        SyllableWord((0, 0), (2,))
-
-
-def test_syllable_word_normalizes_free_cancellation():
-    # s s^-1 with nothing between collapses on construction
-    sw = SyllableWord((1, 0, 2), (1, -1))
-    assert sw == SyllableWord((3,), ())
-
-
 def test_syllable_format():
     assert to_syllables(w("t^2 s^-1 t")).format() == "t^2 s^-1 t^1"
     assert to_syllables(w("")).format() == "t^0"
@@ -86,7 +72,7 @@ def test_syllables_reject_foreign_alphabet():
 
 
 def test_britton_reduce_kills_the_relator():
-    assert britton_reduce(BS23, w("s^-1 t^2 s t^-3")).is_identity
+    assert britton_reduce_counted(BS23, w("s^-1 t^2 s t^-3"))[0].is_identity
 
 
 def test_britton_reduce_leaves_reduced_words_alone():
@@ -134,7 +120,7 @@ def test_pinch_count_accounts_for_all_lost_s_letters():
 
 def test_britton_reduce_rejects_foreign_alphabet():
     with pytest.raises(ValueError):
-        britton_reduce(BS23, parse_word(Alphabet.of("x"), "x"))
+        britton_reduce_counted(BS23, parse_word(Alphabet.of("x"), "x"))
 
 
 # The leftmost-first rewriting that the stack pass replaced, kept as the
@@ -200,22 +186,8 @@ def test_stack_pass_matches_leftmost_first_reference(mn, head, syllables):
     reduced, pinches = britton_reduce_counted(params, word)
     expected = _reference_britton(params, raw.t_runs, raw.s_signs)
     assert (reduced.t_runs, reduced.s_signs, pinches) == expected
-    # the trusted constructor skipped a normalization that changes nothing
-    assert raw == SyllableWord(raw.t_runs, raw.s_signs)
-    assert reduced == SyllableWord(reduced.t_runs, reduced.s_signs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st_.integers(-3, 3),
-    st_.lists(st_.tuples(st_.sampled_from([1, -1]), st_.integers(-2, 2)), max_size=20),
-)
-def test_syllable_normalization_matches_reference(head, syllables):
-    # zero runs between opposite signs are common here, unlike in words
-    runs = (head,) + tuple(a for _, a in syllables)
-    signs = tuple(e for e, _ in syllables)
-    sw = SyllableWord(runs, signs)
-    assert (list(sw.t_runs), list(sw.s_signs)) == _reference_normalize(list(runs), list(signs))
+    # a reduced word's syllables need no free cancellation, so none is run
+    assert _reference_normalize(list(raw.t_runs), list(raw.s_signs)) == (list(raw.t_runs), list(raw.s_signs))
 
 
 # ---------------------------------------------------------------- triviality and equality
@@ -308,11 +280,20 @@ def test_apply_f_rejects_negative_iterate():
 
 @pytest.mark.parametrize("i", [0, 1, 5])
 def test_doubling_rejects_words_not_over_st(i):
-    word = parse_word(Alphabet.of("t"), "t")
-    with pytest.raises(ValueError):
-        apply_f(word, i)
-    with pytest.raises(ValueError):
-        tower_oracle(i)(word)
+    # one alphabet rule: the reader takes words over ST exactly, so a
+    # sub-alphabet or the same letters in another order is refused everywhere
+    for alphabet in (Alphabet.of("t"), Alphabet.of("t", "s")):
+        word = parse_word(alphabet, " ".join(alphabet.names()))
+        for call in (
+            lambda: apply_f(word, i),
+            lambda: tower_oracle(i)(word),
+            lambda: to_syllables(word),
+            lambda: britton_reduce_counted(BS23, word),
+            lambda: bs_is_trivial(BS23, word),
+            lambda: bs_equal(BS23, word, word),
+        ):
+            with pytest.raises(ValueError, match=r"not over the alphabet \{s, t\}"):
+                call()
 
 
 def test_apply_f_caps_the_image_length():

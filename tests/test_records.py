@@ -7,7 +7,7 @@ that the type has always raised; the certificate cases also go through
 
 import pytest
 
-from fpw.bs import ST, BSParams, SyllableWord
+from fpw.bs import ST, BSParams
 from fpw.harness import ExplicitFiniteSet
 from fpw.presentations import CertFactor, FinitePresentation, IntMatrix, TrivialityCertificate
 from fpw.search import SearchBudget
@@ -42,8 +42,6 @@ BAD_FIELDS = {
     "matrix-shape": (lambda: IntMatrix(1, 2, ((1,),)), "entries do not match declared shape"),
     "search-budget": (lambda: SearchBudget(0, -1), "budgets must be >= 0"),
     "bs-params": (lambda: BSParams(2, 0), "BS parameters must be >= 1, got (2, 0)"),
-    "syllables-count": (lambda: SyllableWord((0,), (1,)), "need exactly one more t-run than s-letters"),
-    "syllables-sign": (lambda: SyllableWord((0, 0), (2,)), "s-letter signs must be +1 or -1"),
     "finite-set-natural": (lambda: ExplicitFiniteSet((-1,)), "elements must be naturals"),
     "finite-set-order": (lambda: ExplicitFiniteSet((2, 1)), "elements must be strictly increasing; use .of()"),
 }

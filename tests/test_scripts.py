@@ -44,12 +44,17 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["words.shortlex_len8"]["words"] == 8748
     assert run["layers"]["bs.equal_2000"]["letters"] == [2000, 2005]
     assert run["layers"]["bs.equal_2000"]["equal"] is True
+    depth = run["layers"]["bs.britton_depth"]
+    assert depth["bs23"]["depth"] == [4, 8, 12, 16] and depth["bs13"]["depth"] == [1000, 2000, 4000]
+    for series in (depth["bs23"], depth["bs13"]):
+        assert series["pinches"] == series["depth"]  # one pinch per nesting level
+        assert len(series["ms"]) == len(series["depth"]) and all(ms > 0 for ms in series["ms"])
     assert run["layers"]["bs.kernel1_20"]["words"] == 20
     assert run["layers"]["bs.kernel1_20"]["last"] == "s^-1 t s t s^-1 t^-1 s t^-1"
     assert run["layers"]["harness.kernel_density_20000"]["hits"] == [25, 45, 45, 45]
     assert run["layers"]["harness.recover_sweep"]["subsets"] == 176
     assert run["layers"]["harness.recover_sweep"]["mismatches"] == 0
-    for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.kernel1_20",
+    for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.britton_depth", "bs.kernel1_20",
                   "harness.kernel_density_20000", "harness.recover_sweep"):
         assert run["layers"][layer]["ms"] > 0
     assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
@@ -65,6 +70,9 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["cli.demo_non_hopfian"]["exit"] == 0
     assert run["layers"]["cli.demo_non_hopfian"]["last_line"].startswith("conclusion: ")
     assert run["layers"]["cli.demo_non_hopfian"]["ms"] > 0
+    assert run["layers"]["cli.demo_recover_card"]["exit"] == 0
+    assert run["layers"]["cli.demo_recover_card"]["last_line"] == "|W| = 2"
+    assert run["layers"]["cli.demo_recover_card"]["ms"] > 0
     assert run["layers"]["import.fpw_cli"]["ms"] > 0
     assert 0 < run["layers"]["import.fpw_cli"]["kb_held"] < 2000
     for name, layer in run["layers"].items():
