@@ -8,6 +8,8 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     8748 reduced words of length 8, read off a fresh ``shortlex_stream`` (ms);
   * ``bs_equal`` on two 2000-letter words that differ by one inserted
     BS(2,3) relator, and the first 20 words of ``kernel_stream(1)`` (ms);
+  * the first 20 words of ``kernel_stream(i)`` for i = 0..3, with each
+    level's last word (ms per level and in all);
   * ``britton_reduce_counted`` against nesting depth j, with the pinches it
     counts (j each): BS(2,3) on s^-j t^(2^j) s^j for j = 4, 8, 12, 16 and
     BS(1,3) on s^-j t s^j for j = 1000, 2000, 4000 (ms per depth);
@@ -17,6 +19,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
   * cardinality recovery over every subset W of range(10) with |W| <= 3:
     ``compress_stream`` -> ``tower_oracle`` -> ``recover_cardinality(_, 4)``,
     with the subsets whose |W| it does not recover (ms);
+  * ``smith_normal_form`` on seeded dense n x n matrices with entries in
+    [-9, 9], for n = 4, 8, 12, with the largest entry of U and V in bits
+    (ms per size and in all);
   * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
   * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
     relator conjugated by t (ms, and candidate pairs/s);
@@ -76,7 +81,14 @@ from fpw.bs import (
     kernel_stream,
 )
 from fpw.harness import compress_stream, recover_cardinality, tower_oracle
-from fpw.presentations import FinitePresentation, parse_presentation, semidecide_trivial, trivial_word_stream
+from fpw.presentations import (
+    FinitePresentation,
+    IntMatrix,
+    parse_presentation,
+    semidecide_trivial,
+    smith_normal_form,
+    trivial_word_stream,
+)
 from fpw.search import (
     SearchBudget,
     iso_search,
@@ -132,6 +144,14 @@ def measure(repeat: int) -> dict:
         secs, words = best_of(repeat, lambda: list(itertools.islice(kernel_stream(1), 20)))
         return {"ms": secs * 1e3, "words": len(words), "last": format_word(words[-1])}
 
+    def kernel_by_level():
+        level_ms, last = [], []
+        for level in range(4):
+            secs, words = best_of(repeat, lambda: list(itertools.islice(kernel_stream(level), 20)))
+            level_ms.append(secs * 1e3)
+            last.append(format_word(words[-1]))
+        return {"ms": sum(level_ms), "level_ms": level_ms, "last": last}
+
     def britton_depth():
         series = {
             "bs23": (BS23, {j: f"s^-{j} t^{2 ** j} s^{j}" for j in (4, 8, 12, 16)}),
@@ -167,6 +187,16 @@ def measure(repeat: int) -> dict:
                     if recover_cardinality(tower_oracle(sum(1 for _ in compress_stream(w))), 4) != len(w)]
         secs, mismatches = best_of(repeat, run)
         return {"ms": secs * 1e3, "subsets": len(subsets), "mismatches": len(mismatches)}
+
+    def snf_by_size():
+        sizes, size_ms, bits = (4, 8, 12), [], []
+        for n in sizes:
+            rng = random.Random(n)
+            a = IntMatrix(n, n, tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)))
+            secs, (u, _, v) = best_of(repeat, lambda: smith_normal_form(a))
+            size_ms.append(secs * 1e3)
+            bits.append(max(abs(x).bit_length() for m in (u, v) for row in m.entries for x in row))
+        return {"ms": sum(size_ms), "n": list(sizes), "size_ms": size_ms, "max_entry_bits": bits}
 
     def stream():
         secs, _ = best_of(repeat, lambda: list(itertools.islice(trivial_word_stream(bs), 744)))
@@ -235,9 +265,9 @@ def measure(repeat: int) -> dict:
     layers = {}
     for name, run in [("words.concat_4000", concat_4000), ("words.shortlex_len8", shortlex_len8),
                       ("bs.equal_2000", equal_2000), ("bs.britton_depth", britton_depth),
-                      ("bs.kernel1_20", kernel1_20),
+                      ("bs.kernel1_20", kernel1_20), ("bs.kernel_by_level", kernel_by_level),
                       ("harness.kernel_density_20000", kernel_density_20000),
-                      ("harness.recover_sweep", recover_sweep),
+                      ("harness.recover_sweep", recover_sweep), ("presentations.snf_by_size", snf_by_size),
                       ("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),

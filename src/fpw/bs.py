@@ -25,6 +25,7 @@ from .words import (
     _word,
     commutator,
     invert,
+    parse_word,
     shortlex_stream,
     substitute,
 )
@@ -139,7 +140,7 @@ def bs_equal(params: BSParams, u: Word, v: Word) -> bool:
 
 def bs_presentation(params: BSParams) -> FinitePresentation:
     """The one-relator presentation < s, t | s^-1 t^m s t^-n >."""
-    relator = ST.word(f"s^-1 t^{params.m} s t^-{params.n}")
+    relator = parse_word(ST, f"s^-1 t^{params.m} s t^-{params.n}")
     return FinitePresentation(ST, (relator,))
 
 
@@ -203,7 +204,7 @@ def w_family(i: int) -> Word:
         raise ValueError(f"w_{i} would have more than {MAX_WORD_LETTERS} letters")
     if i == 0:
         return ST.empty_word()
-    w = commutator(ST.word("s^-1 t s"), ST.word("t"))
+    w = commutator(parse_word(ST, "s^-1 t s"), parse_word(ST, "t"))
     shrink = f_preimage_witnesses()
     for _ in range(i - 1):
         w = substitute(w, shrink)

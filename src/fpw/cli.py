@@ -385,8 +385,8 @@ def _cmd_demo_non_hopfian(args) -> int:
 
     pre = f_preimage_witnesses()
     surjective = all(
-        bs_equal(params, substitute(pre.image(g), f), ST.gen_word(g.name))
-        for g in ST.generators
+        bs_equal(params, substitute(pre.image(g), f), ST.gen_word(g))
+        for g in ST
     )
     checks.append(("every generator has a preimage, so it is surjective", surjective))
 

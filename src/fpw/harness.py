@@ -69,21 +69,21 @@ def compress_stream(source: Iterable[int]) -> Iterator[int]:
             yield len(seen) - 1
 
 
-class ExplicitFiniteSet:
-    """A finite set of naturals, stored sorted and duplicate-free.
+class ExplicitFiniteSet(tuple):
+    """A finite set of naturals: the sorted, duplicate-free tuple of its elements.
 
     Text syntax: comma-separated naturals, e.g. ``4,7``; empty text is the
     empty set.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ()
 
-    def __init__(self, elements: tuple[int, ...]):
+    def __new__(cls, elements: tuple[int, ...]):
         if any(x < 0 for x in elements):
             raise ValueError("elements must be naturals")
         if list(elements) != sorted(set(elements)):
             raise ValueError("elements must be strictly increasing; use .of()")
-        self.elements = elements
+        return tuple.__new__(cls, elements)
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "ExplicitFiniteSet":
@@ -95,26 +95,6 @@ class ExplicitFiniteSet:
         if not text:
             return cls(())
         return cls.of(int(tok) for tok in text.split(","))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
-    def __eq__(self, other):
-        if other.__class__ is not ExplicitFiniteSet:
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        return f"ExplicitFiniteSet(elements={self.elements!r})"
 
 
 def tower_oracle(k: int) -> Callable[[Word], bool]:
@@ -136,11 +116,9 @@ def quotient_tower_presentation(W: ExplicitFiniteSet) -> RecursivePresentation:
     compress(W), i.e. for i in 0..|W|-1.  For empty W the stream holds just
     the relator.
     """
-    size = len(W)
-
     def source() -> Iterator[Word]:
         yield bs_presentation(BS23).relators[0]
-        streams = [kernel_stream(i + 1) for i in compress_stream(iter(W))]
+        streams = [kernel_stream(i + 1) for i in compress_stream(W)]
         if not streams:
             return
         for ks in itertools.cycle(streams):

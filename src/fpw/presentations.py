@@ -48,7 +48,7 @@ class FinitePresentation(NamedTuple("FinitePresentation", [("generators", Alphab
         return tuple.__new__(cls, (generators, relators))
 
     def format(self) -> str:
-        gens = ", ".join(self.generators.names())
+        gens = ", ".join(self.generators)
         rels = ", ".join(format_word(r) for r in self.relators)
         if not rels:
             return f"< {gens} | >"

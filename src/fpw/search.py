@@ -81,6 +81,9 @@ class Found(NamedTuple):
 
 
 class SubgroupFound(NamedTuple):
+    """P_k, verified isomorphic to the target; W_i -> gens_i maps it onto the
+    subgroup, but that map is not checked to be injective."""
+
     k: int
     presentation: FinitePresentation
     witness: IsoWitness
@@ -161,7 +164,7 @@ def _round_trips(there: GeneratorMap, back: GeneratorMap) -> list[Word]:
     """back(there(g)) g^-1 for each generator g of ``there``'s domain; all are
     trivial exactly when back . there fixes every generator."""
     gens = there.domain
-    return [img * invert(gens.gen_word(g.name)) for g, img in zip(gens.generators, there.then(back).images)]
+    return [img * invert(gens.gen_word(g)) for g, img in zip(gens, there.then(back).images)]
 
 
 def _obligations(there: GeneratorMap, back: GeneratorMap, far: FinitePresentation) -> set[Word]:
@@ -317,6 +320,12 @@ def subgroup_presentation_search(
     one map pair.  Both the oracle tests and the pair attempts count against
     ``max_candidates``; emissions count against per-side stream caps as in
     ``iso_search``.  Found returns the first fully verified (k, witness).
+
+    Found certifies P_k onto H and P_k isomorphic to ``target``, not P_k
+    isomorphic to H: injectivity is never checked, and by the paper's main
+    result no search could check it in general.  For the trivial subgroup,
+    ``fpw subgrp-presentation --gens '' -q '< x | >'`` reports k = 0 and
+    ``< W1 | >``.
     """
     if not gens:
         raise ValueError("need at least one subgroup generator word")

@@ -26,7 +26,7 @@ from .presentations import (
     certificate_word,
     semidecide_trivial,
 )
-from .words import Alphabet, Generator, GeneratorMap, Word, _word, concat, format_word, invert, parse_word, substitute
+from .words import Alphabet, GeneratorMap, Word, _word, concat, format_word, invert, parse_word, substitute
 
 
 class TietzeError(Exception):
@@ -81,7 +81,7 @@ TietzeMove = AddRelator | RemoveRelator | AddGenerator | RemoveGenerator
 def _lift(word: Word, alphabet: Alphabet) -> Word:
     """The same word over another alphabet containing its letters, each
     letter re-encoded by its generator's name (codes are positional)."""
-    names = word.alphabet.names()
+    names = word.alphabet
     return _word(alphabet, tuple(alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes))
 
 
@@ -119,17 +119,17 @@ def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation
         return FinitePresentation(pres.generators, pres.relators + (word,)) if adding else proved_in
 
     if isinstance(move, AddGenerator):
-        if move.name in pres.generators.names():
+        if move.name in pres.generators:
             raise GeneratorNameClash(f"generator '{move.name}' already present")
         if move.definition.alphabet != pres.generators:
             raise InvalidCertificate("definition is not a word over the existing generators")
-        new_alpha = Alphabet(pres.generators.generators + (Generator(move.name),))
+        new_alpha = Alphabet(pres.generators + (move.name,))
         defining = concat(new_alpha.gen_word(move.name), invert(_lift(move.definition, new_alpha)))
         relators = tuple(_lift(r, new_alpha) for r in pres.relators) + (defining,)
         return FinitePresentation(new_alpha, relators)
 
     if isinstance(move, RemoveGenerator):
-        if move.name not in pres.generators.names():
+        if move.name not in pres.generators:
             raise DefiningRelatorNotFound(f"presentation has no generator '{move.name}'")
         if not 0 <= move.index < len(pres.relators):
             raise IndexOutOfRange(
@@ -146,13 +146,9 @@ def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation
             raise DefiningRelatorNotFound(
                 f"relator {move.index} uses '{move.name}' outside its leading letter"
             )
-        new_alpha = Alphabet(
-            tuple(g for g in pres.generators.generators if g.name != move.name)
-        )
+        new_alpha = Alphabet(g for g in pres.generators if g != move.name)
         definition = invert(_lift(tail, new_alpha))
-        images = []
-        for g in pres.generators.generators:
-            images.append(definition if g.name == move.name else new_alpha.gen_word(g.name))
+        images = [definition if g == move.name else new_alpha.gen_word(g) for g in pres.generators]
         down = GeneratorMap(pres.generators, new_alpha, tuple(images))
         relators = tuple(
             substitute(r, down) for i, r in enumerate(pres.relators) if i != move.index

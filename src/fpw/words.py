@@ -1,9 +1,10 @@
 """Free-group words over a finite alphabet.
 
-Words are tuples of integer letter codes, +-(generator index + 1), the way
-GAP and kbmag store them.  Letters are validated where they enter (parsing,
-``GeneratorMap``, certificate JSON); every public operation returns words in
-freely reduced form, reducing only where letters can cancel (see ``_word``).
+An alphabet is the tuple of its generator names.  Words are tuples of integer
+letter codes, +-(generator index + 1), the way GAP and kbmag store them.
+Letters are validated where they enter (parsing, ``GeneratorMap``,
+certificate JSON); every public operation returns words in freely reduced
+form, reducing only where letters can cancel (see ``_word``).
 Reduced words have one shortlex order: ``shortlex_stream`` enumerates it level
 by level and ``shortlex_word`` unranks any position of it, and neither keeps
 a table of the words it has built.
@@ -29,79 +30,46 @@ def _valid_name(name: str) -> bool:
     return not any(c.isspace() or c in _FORBIDDEN_CHARS for c in name)
 
 
-class Generator(NamedTuple("Generator", [("name", str)])):
-    """A named generator.
+class Alphabet(tuple):
+    """An ordered, duplicate-free, nonempty tuple of generator names.
 
     Names are nonempty ASCII without whitespace or any of ``^ , | < > =``.
+    The letter code of a name is its position, counted from 1.  Equality and
+    hashing are tuple's, so an alphabet equals the plain tuple of its names.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str):
-        if not _valid_name(name):
-            raise ValueError(f"invalid generator name: {name!r}")
-        return tuple.__new__(cls, (name,))
-
-    def __repr__(self):
-        return f"Generator({self.name!r})"
-
-
-class Alphabet:
-    """An ordered, duplicate-free, nonempty tuple of generators."""
-
-    __slots__ = ("generators", "_codes")
-
-    def __init__(self, generators: tuple[Generator, ...]):
-        if not generators:
+    def __new__(cls, names: Iterable[str]):
+        names = tuple(names)
+        if not names:
             raise ValueError("alphabet must contain at least one generator")
-        self._codes = {g.name: i + 1 for i, g in enumerate(generators)}
-        if len(self._codes) != len(generators):
-            raise ValueError(f"duplicate generator names: {[g.name for g in generators]}")
-        self.generators = generators
+        for name in names:
+            if not _valid_name(name):
+                raise ValueError(f"invalid generator name: {name!r}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate generator names: {list(names)}")
+        return tuple.__new__(cls, names)
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
-        return cls(tuple(Generator(n) for n in names))
+        return cls(names)
 
     def code(self, name: str) -> int:
         """The letter code of generator ``name``: its position, counted from 1."""
         try:
-            return self._codes[name]
-        except KeyError:
+            return self.index(name) + 1
+        except ValueError:
             raise ValueError(f"unknown generator: {name!r}") from None
 
-    def gen(self, name: str) -> Generator:
-        return self.generators[self.code(name) - 1]
-
     def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
-
-    def word(self, text: str) -> "Word":
-        return parse_word(self, text)
+        return tuple(self)
 
     def empty_word(self) -> "Word":
         return _word(self, ())
 
     def gen_word(self, name: str) -> "Word":
         return _word(self, (self.code(name),))
-
-    def __contains__(self, gen: Generator) -> bool:
-        code = self._codes.get(gen.name)
-        return code is not None and self.generators[code - 1] == gen
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __eq__(self, other):
-        if other.__class__ is not Alphabet:
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
-
-    def __repr__(self) -> str:
-        return f"Alphabet(generators={self.generators!r})"
 
 
 def _rank(code: int) -> int:
@@ -268,14 +236,14 @@ def _spell(alphabet: Alphabet, text: str, *, offset: int = 0, max_letters: int =
 
 def format_word(w: Word) -> str:
     """Render a word as run-grouped text; the empty word renders as ''."""
-    gens = w.alphabet.generators
+    names = w.alphabet
     parts: list[str] = []
     i, codes = 0, w.codes
     while i < len(codes):
         j = i
         while j < len(codes) and codes[j] == codes[i]:
             j += 1
-        name = gens[abs(codes[i]) - 1].name
+        name = names[abs(codes[i]) - 1]
         exp = j - i if codes[i] > 0 else i - j
         parts.append(name if exp == 1 else f"{name}^{exp}")
         i = j
@@ -329,21 +297,21 @@ class GeneratorMap(NamedTuple("GeneratorMap", [("domain", Alphabet), ("codomain"
     __slots__ = ()
 
     def __new__(cls, domain: Alphabet, codomain: Alphabet, images: tuple[Word, ...]):
-        if len(images) != len(domain.generators):
-            raise ValueError(f"expected {len(domain.generators)} images, got {len(images)}")
+        if len(images) != len(domain):
+            raise ValueError(f"expected {len(domain)} images, got {len(images)}")
         for img in images:
             if img.alphabet != codomain:
                 raise ValueError("image word is not over the codomain alphabet")
         return tuple.__new__(cls, (domain, codomain, images))
 
-    def image(self, gen: Generator) -> Word:
-        if gen not in self.domain:
-            raise ValueError(f"unmapped generator: {gen.name!r}")
-        return self.images[self.domain.code(gen.name) - 1]
+    def image(self, name: str) -> Word:
+        if name not in self.domain:
+            raise ValueError(f"unmapped generator: {name!r}")
+        return self.images[self.domain.index(name)]
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "GeneratorMap":
-        return cls(alphabet, alphabet, tuple(alphabet.gen_word(g.name) for g in alphabet.generators))
+        return cls(alphabet, alphabet, tuple(map(alphabet.gen_word, alphabet)))
 
     @classmethod
     def parse(cls, domain: Alphabet, codomain: Alphabet, text: str) -> "GeneratorMap":
@@ -355,17 +323,15 @@ class GeneratorMap(NamedTuple("GeneratorMap", [("domain", Alphabet), ("codomain"
             name = name.strip()
             if name in images:
                 raise ValueError(f"duplicate image for generator {name!r}")
-            domain.gen(name)  # raises on unknown generator
+            domain.code(name)  # raises on unknown generator
             images[name] = parse_word(codomain, rhs)
-        missing = [g.name for g in domain.generators if g.name not in images]
+        missing = [g for g in domain if g not in images]
         if missing:
             raise ValueError(f"missing images for generators: {missing}")
-        return cls(domain, codomain, tuple(images[g.name] for g in domain.generators))
+        return cls(domain, codomain, tuple(images[g] for g in domain))
 
     def format(self) -> str:
-        return ",".join(
-            f"{g.name}={format_word(img)}" for g, img in zip(self.domain.generators, self.images)
-        )
+        return ",".join(f"{g}={format_word(img)}" for g, img in zip(self.domain, self.images))
 
     def then(self, other: "GeneratorMap") -> "GeneratorMap":
         """Compose: apply this map, then ``other`` (domain -> other.codomain)."""

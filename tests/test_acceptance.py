@@ -302,7 +302,7 @@ def _removable_generators(pres):
             continue
         if any(abs(c) == first for c in rel.codes[1:]):
             continue
-        out.append((pres.generators.generators[first - 1].name, idx))
+        out.append((pres.generators[first - 1], idx))
     return out
 
 

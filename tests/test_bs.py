@@ -255,8 +255,8 @@ def test_bs_presentation():
 
 def test_doubling_map_images():
     f = doubling_map()
-    assert f.image(ST.gen("s")) == w("s")
-    assert f.image(ST.gen("t")) == w("t t")
+    assert f.image("s") == w("s")
+    assert f.image("t") == w("t t")
 
 
 def test_apply_f_examples():
@@ -472,8 +472,8 @@ def test_w2_survives_one_application():
 
 def test_preimage_witness_images():
     pre = f_preimage_witnesses()
-    assert pre.image(ST.gen("s")) == w("s")
-    assert pre.image(ST.gen("t")) == w("s^-1 t s t^-1")
+    assert pre.image("s") == w("s")
+    assert pre.image("t") == w("s^-1 t s t^-1")
 
 
 def test_preimage_witness_section_property():
@@ -481,7 +481,7 @@ def test_preimage_witness_section_property():
     f = doubling_map()
     pre = f_preimage_witnesses()
     for name in ["s", "t"]:
-        lifted = substitute(pre.image(ST.gen(name)), f)
+        lifted = substitute(pre.image(name), f)
         assert bs_equal(BS23, lifted, ST.gen_word(name))
 
 

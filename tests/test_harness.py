@@ -107,10 +107,10 @@ def test_compress_stream_rejects_negatives():
 
 
 def test_finite_set_of_and_parse():
-    assert ExplicitFiniteSet.of([7, 4, 4]).elements == (4, 7)
-    assert ExplicitFiniteSet.parse("4,7").elements == (4, 7)
+    assert tuple(ExplicitFiniteSet.of([7, 4, 4])) == (4, 7)
+    assert tuple(ExplicitFiniteSet.parse("4,7")) == (4, 7)
     assert ExplicitFiniteSet.parse(" 4 , 7 ") == ExplicitFiniteSet.parse("7,4")
-    assert ExplicitFiniteSet.parse("").elements == ()
+    assert tuple(ExplicitFiniteSet.parse("")) == ()
 
 
 def test_finite_set_protocols():

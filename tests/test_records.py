@@ -5,20 +5,22 @@ that the type has always raised; the certificate cases also go through
 ``TrivialityCertificate.from_json``, which reads input from outside.
 """
 
+import pickle
+
 import pytest
 
 from fpw.bs import ST, BSParams
 from fpw.harness import ExplicitFiniteSet
 from fpw.presentations import CertFactor, FinitePresentation, IntMatrix, TrivialityCertificate
 from fpw.search import SearchBudget
-from fpw.words import Alphabet, Generator, GeneratorMap
+from fpw.words import Alphabet, GeneratorMap
 
 from conftest import w
 
 T_ONLY = Alphabet.of("t")
 
 BAD_FIELDS = {
-    "generator-name": (lambda: Generator("a b"), "invalid generator name: 'a b'"),
+    "generator-name": (lambda: Alphabet.of("a b"), "invalid generator name: 'a b'"),
     "alphabet-empty": (lambda: Alphabet(()), "alphabet must contain at least one generator"),
     "alphabet-duplicate": (lambda: Alphabet.of("s", "s"), "duplicate generator names: ['s', 's']"),
     "map-image-count": (lambda: GeneratorMap(ST, ST, (w("s"),)), "expected 2 images, got 1"),
@@ -63,3 +65,17 @@ def test_validated_types_keep_value_equality_and_hashing():
     pres = FinitePresentation(ST, [w("t")])
     assert pres.relators == (w("t"),) and pres == FinitePresentation(ST, (w("t"),))
     assert hash(pres) == hash(FinitePresentation(ST, (w("t"),)))
+
+
+def test_alphabets_and_finite_sets_are_immutable_tuples_that_pickle():
+    # an equal copy of ST, so that a mutable alphabet could not break the shared one
+    alphabet, finite = Alphabet.of("s", "t"), ExplicitFiniteSet.of([4, 7])
+    for obj, field in [(alphabet, "generators"), (alphabet, "_codes"), (finite, "elements")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, {})
+    assert alphabet == ST == ("s", "t") and finite == (4, 7)
+    word = w("s t^2 s^-1")
+    back = pickle.loads(pickle.dumps(word))
+    assert back == word and back.alphabet.__class__ is Alphabet and back.alphabet.code("t") == 2
+    back = pickle.loads(pickle.dumps(finite))
+    assert back == finite and back.__class__ is ExplicitFiniteSet

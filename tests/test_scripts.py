@@ -51,11 +51,18 @@ def test_bench_writes_layer_numbers(tmp_path):
         assert len(series["ms"]) == len(series["depth"]) and all(ms > 0 for ms in series["ms"])
     assert run["layers"]["bs.kernel1_20"]["words"] == 20
     assert run["layers"]["bs.kernel1_20"]["last"] == "s^-1 t s t s^-1 t^-1 s t^-1"
+    by_level = run["layers"]["bs.kernel_by_level"]
+    assert by_level["last"] == ["s t^2 s t^-3 s^-2"] + ["s^-1 t s t s^-1 t^-1 s t^-1"] * 3
+    assert len(by_level["level_ms"]) == 4 and all(ms > 0 for ms in by_level["level_ms"])
+    snf = run["layers"]["presentations.snf_by_size"]
+    assert snf["n"] == [4, 8, 12] and len(snf["size_ms"]) == 3 and all(ms > 0 for ms in snf["size_ms"])
+    assert len(snf["max_entry_bits"]) == 3 and all(bits >= 1 for bits in snf["max_entry_bits"])
     assert run["layers"]["harness.kernel_density_20000"]["hits"] == [25, 45, 45, 45]
     assert run["layers"]["harness.recover_sweep"]["subsets"] == 176
     assert run["layers"]["harness.recover_sweep"]["mismatches"] == 0
     for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.britton_depth", "bs.kernel1_20",
-                  "harness.kernel_density_20000", "harness.recover_sweep"):
+                  "bs.kernel_by_level", "harness.kernel_density_20000", "harness.recover_sweep",
+                  "presentations.snf_by_size"):
         assert run["layers"][layer]["ms"] > 0
     assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
     assert run["layers"]["search.iso_pinned"]["units"] == 6018

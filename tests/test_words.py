@@ -16,7 +16,6 @@ from fpw.tietze import AddGenerator, RemoveGenerator, apply_move
 from fpw.words import (
     MAX_WORD_LETTERS,
     Alphabet,
-    Generator,
     GeneratorMap,
     Word,
     WordParseError,
@@ -43,11 +42,11 @@ T_ONLY = Alphabet.of("t")
 
 
 def test_generator_name_validation():
-    Generator("s")
-    Generator("gen_17")
+    Alphabet.of("s")
+    Alphabet.of("gen_17")
     for bad in ["", "a b", "a^2", "x,y", "a|b", "<", ">", "a=b", "tab\tname"]:
         with pytest.raises(ValueError):
-            Generator(bad)
+            Alphabet.of(bad)
 
 
 def test_alphabet_rejects_duplicates_and_empty():
@@ -193,6 +192,15 @@ def test_generator_map_parse_requires_every_generator():
         GeneratorMap.parse(ST, ST, "s=s,t=t,s=t")
     with pytest.raises(ValueError):
         GeneratorMap.parse(ST, ST, "s=s,q=t")
+
+
+def test_generator_map_image_takes_a_name():
+    f = GeneratorMap.parse(ST, ST, "s=s,t=t^2")
+    assert (f.image("s"), f.image("t")) == (w("s"), w("t^2"))
+    with pytest.raises(ValueError, match="^unmapped generator: 'q'$"):
+        f.image("q")
+    with pytest.raises(ValueError, match="^unknown generator: 'q'$"):
+        ST.code("q")
 
 
 def test_generator_map_format_roundtrip():
