@@ -19,6 +19,11 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
   * cardinality recovery over every subset W of range(10) with |W| <= 3:
     ``compress_stream`` -> ``tower_oracle`` -> ``recover_cardinality(_, 4)``,
     with the subsets whose |W| it does not recover (ms);
+  * ``certificate_word`` on a seeded 30-factor certificate with 20-letter
+    conjugators over a 7-relator presentation on {a, b, c}, and on the
+    one-factor certificate (empty, 20, +1) over the tower presentation for
+    {4}, which reads 21 relators and derives v_1 (ms per case and in all,
+    with the derived v_1);
   * ``smith_normal_form`` on seeded dense n x n matrices with entries in
     [-9, 9], for n = 4, 8, 12, with the largest entry of U and V in bits
     (ms per size and in all);
@@ -80,10 +85,19 @@ from fpw.bs import (
     doubling_map,
     kernel_stream,
 )
-from fpw.harness import compress_stream, recover_cardinality, tower_oracle
+from fpw.harness import (
+    ExplicitFiniteSet,
+    compress_stream,
+    quotient_tower_presentation,
+    recover_cardinality,
+    tower_oracle,
+)
 from fpw.presentations import (
+    CertFactor,
     FinitePresentation,
     IntMatrix,
+    TrivialityCertificate,
+    certificate_word,
     parse_presentation,
     semidecide_trivial,
     smith_normal_form,
@@ -109,10 +123,12 @@ def best_of(repeat: int, call) -> tuple[float, object]:
     return best, result
 
 
-def reduced_letters(seed: int, n: int) -> list[str]:
-    """``n`` letters over {s, t} in which no letter follows its inverse."""
-    rng, letters = random.Random(seed), ["s"]
-    inverse = {"s": "s^-1", "s^-1": "s", "t": "t^-1", "t^-1": "t"}
+def reduced_letters(seed: int, n: int, names: str = "st") -> list[str]:
+    """``n`` letters over the one-letter generators ``names`` in which no
+    letter follows its inverse; the first is ``names[0]``."""
+    rng, letters, inverse = random.Random(seed), [names[0]], {}
+    for g in names:
+        inverse[g], inverse[f"{g}^-1"] = f"{g}^-1", g
     while len(letters) < n:
         letters.append(rng.choice([x for x in inverse if x != inverse[letters[-1]]]))
     return letters
@@ -198,6 +214,23 @@ def measure(repeat: int) -> dict:
             bits.append(max(abs(x).bit_length() for m in (u, v) for row in m.entries for x in row))
         return {"ms": sum(size_ms), "n": list(sizes), "size_ms": size_ms, "max_entry_bits": bits}
 
+    def certificate_eval():
+        abc = parse_presentation(
+            "< a, b, c | a^2, b^3, c^5, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1, a b a b >"
+        )
+        rng = random.Random(19)
+        thirty = TrivialityCertificate(tuple(
+            CertFactor(parse_word(abc.generators, " ".join(reduced_letters(k, 20, "abc"))),
+                       rng.randrange(len(abc.relators)), rng.choice((1, -1)))
+            for k in range(30)
+        ))
+        tower = quotient_tower_presentation(ExplicitFiniteSet.of([4]))
+        v1 = TrivialityCertificate((CertFactor(ST.empty_word(), 20, 1),))
+        secs_abc, _ = best_of(repeat, lambda: certificate_word(abc, thirty))
+        secs_tower, word = best_of(repeat, lambda: certificate_word(tower, v1))
+        return {"ms": (secs_abc + secs_tower) * 1e3, "case_ms": [secs_abc * 1e3, secs_tower * 1e3],
+                "tower_v1": format_word(word)}
+
     def stream():
         secs, _ = best_of(repeat, lambda: list(itertools.islice(trivial_word_stream(bs), 744)))
         return {"emissions": 744, "ms": secs * 1e3, "emissions_per_s": 744 / secs}
@@ -268,6 +301,7 @@ def measure(repeat: int) -> dict:
                       ("bs.kernel1_20", kernel1_20), ("bs.kernel_by_level", kernel_by_level),
                       ("harness.kernel_density_20000", kernel_density_20000),
                       ("harness.recover_sweep", recover_sweep), ("presentations.snf_by_size", snf_by_size),
+                      ("presentations.certificate_word", certificate_eval),
                       ("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),

@@ -68,14 +68,13 @@ class RecursivePresentation(NamedTuple):
     ``relator_source`` returns a fresh iterator of relator words each time it
     is called.  The stream may repeat words and may be infinite; iterator
     exhaustion is the explicit "no more relators available" signal, which is
-    how finite relator lists embed as a degenerate case.
+    how finite relator lists embed as a degenerate case.  Certificates index
+    the stream as emitted, repeats and empty words included, and a relator
+    over other generators is a ValueError when it is read, not before.
     """
 
     generators: Alphabet
     relator_source: Callable[[], Iterator[Word]]
-
-    def relator_stream(self) -> Iterator[Word]:
-        return self.relator_source()
 
 
 Presentation = FinitePresentation | RecursivePresentation
@@ -223,51 +222,14 @@ def _json_field(data: dict, key: str, kind: type, where: str):
     return value
 
 
-class _RelatorPool:
-    """Uniform indexed access to a presentation's relators.
-
-    For a recursive presentation the pool is the prefix pulled so far, kept
-    exactly as emitted (duplicates and empty words included) so that
-    certificate indices are reproducible.
-    """
-
-    def __init__(self, pres: Presentation):
-        self.generators = pres.generators
-        if isinstance(pres, FinitePresentation):
-            self._pool = list(pres.relators)
-            self._src: Iterator[Word] | None = None
-        else:
-            self._pool = []
-            self._src = pres.relator_stream()
-        self._codes: dict[int, tuple[int, ...]] = {}
-
-    def ensure(self, k: int) -> None:
-        """Pull until the pool holds ``k`` relators or the source is exhausted."""
-        while self._src is not None and len(self._pool) < k:
-            try:
-                r = next(self._src)
-            except StopIteration:
-                self._src = None
-                break
-            if r.alphabet != self.generators:
-                raise ValueError("relator is not a word over the presentation's generators")
-            self._pool.append(r)
-
-    @property
-    def count(self) -> int:
-        return len(self._pool)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._src is None
-
-    def codes(self, i: int, sign: int) -> tuple[int, ...]:
-        """Letter codes of relator ``i`` or, for sign -1, of its inverse; cached."""
-        key = (i + 1) * sign
-        if key not in self._codes:
-            r = self._pool[i].codes
-            self._codes[key] = r if sign == 1 else _inverse(r)
-        return self._codes[key]
+def _relator_codes(pres: Presentation) -> Iterator[tuple[int, ...]]:
+    """Each relator's letter codes in the presentation's order, duplicates and empty
+    words kept so certificate indices hold; a foreign relator raises as it is read."""
+    relators = pres.relators if isinstance(pres, FinitePresentation) else pres.relator_source()
+    for r in relators:
+        if r.alphabet != pres.generators:
+            raise ValueError("relator is not a word over the presentation's generators")
+        yield r.codes
 
 
 def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
@@ -278,18 +240,17 @@ def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
     more than ``MAX_WORD_LETTERS`` letters is a ValueError, raised before
     the factor that would pass the cap is copied.
     """
-    pool = _RelatorPool(pres)
-    if cert.factors:
-        pool.ensure(max(f.relator_index for f in cert.factors) + 1)
+    top = max(f.relator_index for f in cert.factors) if cert.factors else EMPTY_RELATOR_INDEX
+    rels = list(itertools.islice(_relator_codes(pres), top + 1))
     codes: list[int] = []
     for c, i, e in cert.factors:
         if c.alphabet != pres.generators:
             raise ValueError("conjugator is not a word over the presentation's generators")
         if i == EMPTY_RELATOR_INDEX:
             continue  # c . empty . c^-1 contributes nothing
-        if i >= pool.count:
+        if i >= len(rels):
             raise ValueError(f"relator index {i} out of range")
-        r = pool.codes(i, e)
+        r = rels[i] if e == 1 else _inverse(rels[i])
         if len(codes) + 2 * len(c.codes) + len(r) > MAX_WORD_LETTERS:
             raise ValueError(f"certificate spells more than {MAX_WORD_LETTERS} letters")
         codes += c.codes
@@ -349,20 +310,19 @@ def _emissions(
     reduced once, on first use, into a memo that lives as long as this
     stream, and an emission joins its reduced factors at their junctions.
     """
-    pool = _RelatorPool(pres)
+    relators = _relator_codes(pres)
+    rels: list[dict[int, tuple[int, ...]]] = []  # rels[i][e] is r_i^e, pulled as the sizes need them
     conjugators = _shortlex_levels(pres.generators)
     # per length: each conjugator with its memo; memo[i][e] is c r_i^e c^-1 reduced
     levels: list[list[tuple[Word, list[dict[int, tuple[int, ...]]]]]] = []
     yield (), (), (), ()
     for size in itertools.count(1):
-        pool.ensure(size)
-        if pool.count == 0:
-            if pool.exhausted:
-                return
-            continue
+        rels += ({1: r, -1: _inverse(r)} for r in itertools.islice(relators, size - len(rels)))
+        if not rels:  # the source ended before its first relator
+            return
         for n in range(1, size + 1):
             rest = size - n
-            for max_idx in range(0, min(rest, pool.count - 1) + 1):
+            for max_idx in range(0, min(rest, len(rels) - 1) + 1):
                 conj_total = rest - max_idx
                 for comp in _compositions(conj_total, n):
                     while len(levels) <= max(comp):
@@ -371,7 +331,7 @@ def _emissions(
                         for c, memo in conjs:
                             while len(memo) <= max_idx:
                                 c_inv, i = _inverse(c.codes), len(memo)
-                                memo.append({e: _join(_join(c.codes, pool.codes(i, e)), c_inv) for e in (1, -1)})
+                                memo.append({e: _join(_join(c.codes, rels[i][e]), c_inv) for e in (1, -1)})
                         words = tuple(c for c, _ in conjs)
                         for idxs in itertools.product(range(max_idx + 1), repeat=n):
                             if max(idxs) != max_idx:

@@ -7,9 +7,10 @@ it from the relators that remain.  Generator moves are structural and need
 no certificate.  ``check_move`` additionally semi-decides certificate-free
 relator moves by searching the certificate stream under a budget.
 
-Applied sequences produce a ``MoveLog``, a hash chain over canonical
-serializations of the moves and the intermediate presentations, so a log can
-be re-verified without re-running the searches that produced it.
+Applied sequences produce a ``MoveLog`` of each move's canonical JSON and the
+hashes of the presentations around it.  ``verify_chain`` checks only that the
+hashes link up, not the moves; replaying the moves with ``apply_sequence``
+audits a log, re-checking each certificate without re-running any search.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class MoveLog(NamedTuple):
         return self.entries[-1].after_hash if self.entries else None
 
     def verify_chain(self) -> bool:
-        """Each step must pick up exactly where the previous one left off."""
+        """Each step picks up where the previous one left off; moves are not checked."""
         return all(
             a.after_hash == b.before_hash for a, b in zip(self.entries, self.entries[1:])
         )

@@ -154,7 +154,7 @@ def test_tower_oracle_rejects_negative_level():
 
 def test_tower_presentation_of_empty_set():
     pres = quotient_tower_presentation(ExplicitFiniteSet.of([]))
-    rels = list(pres.relator_stream())
+    rels = list(pres.relator_source())
     assert rels == [w("s^-1 t^2 s t^-3")]
 
 
@@ -164,7 +164,7 @@ def test_tower_presentation_relators_are_sound():
         W = ExplicitFiniteSet.of(elements)
         oracle = tower_oracle(len(W))
         pres = quotient_tower_presentation(W)
-        for rel in itertools.islice(pres.relator_stream(), 60):
+        for rel in itertools.islice(pres.relator_source(), 60):
             assert oracle(rel)
 
 
@@ -174,7 +174,7 @@ def test_tower_presentation_streams_w1_for_singletons():
     target = w_family(1)
     assert any(
         rel == target
-        for rel in itertools.islice(pres.relator_stream(), 6000)
+        for rel in itertools.islice(pres.relator_source(), 6000)
     )
 
 
@@ -183,15 +183,15 @@ def test_tower_presentation_relators_not_all_plainly_trivial():
     # trivial words, which is what makes the quotient proper
     W = ExplicitFiniteSet.of([4, 7])
     pres = quotient_tower_presentation(W)
-    rels = list(itertools.islice(pres.relator_stream(), 40))
+    rels = list(itertools.islice(pres.relator_source(), 40))
     assert any(not bs_is_trivial(BS23, rel) for rel in rels)
 
 
 def test_tower_presentation_stream_restarts():
     W = ExplicitFiniteSet.of([4, 7])
     pres = quotient_tower_presentation(W)
-    a = list(itertools.islice(pres.relator_stream(), 25))
-    b = list(itertools.islice(pres.relator_stream(), 25))
+    a = list(itertools.islice(pres.relator_source(), 25))
+    b = list(itertools.islice(pres.relator_source(), 25))
     assert a == b
 
 

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st_
 
+from fpw.harness import ExplicitFiniteSet, _linear_witness, quotient_tower_presentation
 from fpw.presentations import (
     EMPTY_RELATOR_INDEX,
     CertFactor,
@@ -116,9 +117,24 @@ def test_format_and_canonical_text():
 def test_recursive_presentation_wraps_finite():
     p = parse_presentation("< x | x^2 >")
     r = RecursivePresentation(p.generators, lambda: iter(p.relators))
-    assert list(r.relator_stream()) == [xw("x^2")]
+    assert list(r.relator_source()) == [xw("x^2")]
     # each call restarts the stream
-    assert list(r.relator_stream()) == [xw("x^2")]
+    assert list(r.relator_source()) == [xw("x^2")]
+
+
+def _counting(pres):
+    """``pres`` with a relator source that records each relator it hands out."""
+    pulled = []
+
+    def source():
+        for r in pres.relator_source():
+            pulled.append(r)
+            yield r
+
+    return RecursivePresentation(pres.generators, source), pulled
+
+
+TOWER_4 = quotient_tower_presentation(ExplicitFiniteSet.of([4]))
 
 
 # ---------------------------------------------------------------- certificates
@@ -167,6 +183,33 @@ def test_certificate_index_out_of_range():
     cert = TrivialityCertificate((CertFactor(xw(""), 3, 1),))
     with pytest.raises(ValueError, match="out of range"):
         certificate_word(p, cert)
+
+
+def test_certificate_word_over_recursive_presentation():
+    # v_1 is relator 20 of the tower presentation for {4}; evaluating it reads 21 relators
+    tower, pulled = _counting(TOWER_4)
+    v1 = TrivialityCertificate((CertFactor(w(""), 20, 1),))
+    assert certificate_word(tower, v1) == _linear_witness(1)
+    assert len(pulled) == 21
+    # indices count repeats and empty words as the source emits them
+    xy = Alphabet.of("x", "y")
+    x2, y3, empty = parse_word(xy, "x^2"), parse_word(xy, "y^3"), xy.empty_word()
+    source = RecursivePresentation(xy, lambda: iter([x2, x2, empty, y3]))
+
+    def cert(*indices):
+        return TrivialityCertificate(tuple(CertFactor(empty, i, 1) for i in indices))
+
+    assert certificate_word(source, cert(1)) == x2
+    assert certificate_word(source, cert(2)) == empty
+    assert certificate_word(source, cert(3)) == y3
+    with pytest.raises(ValueError, match="relator index 4 out of range"):
+        certificate_word(source, cert(4))
+    # a foreign relator is an error once a certificate reads it, and never read past the top index
+    foreign = RecursivePresentation(xy, lambda: iter([x2, empty, w("t")]))
+    for top in (2, 5):  # the foreign relator is reported before the index out of range
+        with pytest.raises(ValueError, match="relator is not a word over the presentation's generators"):
+            certificate_word(foreign, cert(0, top))
+    assert certificate_word(foreign, cert(0, 1)) == x2
 
 
 def test_certificate_rejects_bad_sign_and_index():
@@ -256,12 +299,34 @@ def test_stream_deterministic():
     assert first == second
 
 
-def test_stream_over_recursive_presentation():
-    finite = parse_presentation("< x | x^2 >")
-    rec = RecursivePresentation(finite.generators, lambda: iter(finite.relators))
-    a = list(itertools.islice(trivial_word_stream(finite), 120))
-    b = list(itertools.islice(trivial_word_stream(rec), 120))
-    assert a == b
+def _streamed(text):
+    """A presentation parsed from ``text``, and the same relators as a stream."""
+    finite = parse_presentation(text)
+    return RecursivePresentation(finite.generators, lambda: iter(finite.relators)), finite
+
+
+# the presentations whose emissions test_stream_contract.py pins, then the tower
+# for {4}, whose first 3000 emissions read only its first 5 relators
+@pytest.mark.parametrize(
+    "rec,finite,pulls",
+    [
+        (*_streamed("< s, t | s^-1 t^2 s t^-3 >"), [0, 1, 1, 1, 1]),
+        (*_streamed("< x | x^2 >"), [0, 1, 1, 1, 1]),
+        (*_streamed("< a, b | a^3, a b a^-1 b^-1 >"), [0, 1, 2, 2, 2]),
+        (TOWER_4, FinitePresentation(ST, tuple(itertools.islice(TOWER_4.relator_source(), 5))), [0, 1, 2, 3, 5]),
+    ],
+    ids=["bs23", "z2", "z3xz", "tower-4"],
+)
+def test_stream_over_recursive_presentation(rec, finite, pulls):
+    # relators are pulled only as the stream's sizes need them: pulls after 1, 2, 10, 100, 2000 emissions
+    counted, pulled = _counting(rec)
+    emitted, seen = [], []
+    for item in itertools.islice(trivial_word_stream(counted), 3000):
+        emitted.append(item)
+        if len(emitted) in (1, 2, 10, 100, 2000):
+            seen.append(len(pulled))
+    assert seen == pulls
+    assert emitted == list(itertools.islice(trivial_word_stream(finite), 3000))
 
 
 # ---------------------------------------------------------------- semidecide_trivial

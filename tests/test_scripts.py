@@ -57,12 +57,15 @@ def test_bench_writes_layer_numbers(tmp_path):
     snf = run["layers"]["presentations.snf_by_size"]
     assert snf["n"] == [4, 8, 12] and len(snf["size_ms"]) == 3 and all(ms > 0 for ms in snf["size_ms"])
     assert len(snf["max_entry_bits"]) == 3 and all(bits >= 1 for bits in snf["max_entry_bits"])
+    cert_eval = run["layers"]["presentations.certificate_word"]
+    assert len(cert_eval["case_ms"]) == 2 and all(ms > 0 for ms in cert_eval["case_ms"])
+    assert cert_eval["tower_v1"] == "s^-1 t s t s^-1 t^-1 s t^-1"  # v_1, relator 20 of the tower for {4}
     assert run["layers"]["harness.kernel_density_20000"]["hits"] == [25, 45, 45, 45]
     assert run["layers"]["harness.recover_sweep"]["subsets"] == 176
     assert run["layers"]["harness.recover_sweep"]["mismatches"] == 0
     for layer in ("words.concat_4000", "words.shortlex_len8", "bs.equal_2000", "bs.britton_depth", "bs.kernel1_20",
                   "bs.kernel_by_level", "harness.kernel_density_20000", "harness.recover_sweep",
-                  "presentations.snf_by_size"):
+                  "presentations.snf_by_size", "presentations.certificate_word"):
         assert run["layers"][layer]["ms"] > 0
     assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
     assert run["layers"]["search.iso_pinned"]["units"] == 6018

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st_
 from fpw.presentations import (
     EMPTY_RELATOR_INDEX,
     CertFactor,
+    FinitePresentation,
     RecursivePresentation,
     TrivialityCertificate,
     certificate_word,
@@ -25,7 +26,6 @@ from fpw.presentations import (
     trivial_word_stream,
     _compositions,
     _emissions,
-    _RelatorPool,
 )
 from fpw.words import Alphabet, format_word, invert, parse_word, _inverse, _reduce
 
@@ -54,19 +54,19 @@ def test_first_emissions_digest(text):
 def _reference_emissions(pres):
     """The stream as it was before junction-only reduction: every emission
     spells out c r^e c^-1 for each factor and reduces the whole word."""
-    pool = _RelatorPool(pres)
+    source = iter(pres.relators) if isinstance(pres, FinitePresentation) else pres.relator_source()
+    rels = []
     table = ShortlexWords(pres.generators)
     levels = {}
     yield (), (), (), ()
     for size in itertools.count(1):
-        pool.ensure(size)
-        if pool.count == 0:
-            if pool.exhausted:
-                return
-            continue
+        for r in itertools.islice(source, size - len(rels)):
+            rels.append(r.codes)
+        if not rels:
+            return
         for n in range(1, size + 1):
             rest = size - n
-            for max_idx in range(0, min(rest, pool.count - 1) + 1):
+            for max_idx in range(0, min(rest, len(rels) - 1) + 1):
                 conj_total = rest - max_idx
                 for comp in _compositions(conj_total, n):
                     for ln in comp:
@@ -81,7 +81,7 @@ def _reference_emissions(pres):
                                 codes = []
                                 for (_, c, c_inv), i, e in zip(conjs, idxs, signs):
                                     codes += c
-                                    codes += pool.codes(i, e)
+                                    codes += rels[i] if e == 1 else _inverse(rels[i])
                                     codes += c_inv
                                 yield _reduce(codes), words, idxs, signs
 
