@@ -60,7 +60,6 @@ from .search import (
 )
 from .tietze import (
     Invalid,
-    TietzeError,
     Valid,
     apply_sequence,
     check_move,
@@ -87,18 +86,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class _HandOff(Exception):
-    """A usage error met by a one-row parser, for the full tree to report."""
-
-
-class _RowParser(_Parser):
-    """A parser for only the rows a call names.  Its top-level usage would
-    list just those rows, so every usage error goes to the full tree."""
-
-    def error(self, message):
-        raise _HandOff
 
 
 def _alphabet(text: str) -> Alphabet:
@@ -482,17 +469,26 @@ _COMMANDS = (
 )
 
 
-def build_parser(rows=_COMMANDS, parser_class=_Parser) -> _Parser:
+# a partial tree's usage line names every command, as the full tree's does;
+# the full tree sets none, since a metavar renames the argument in its errors
+_METAVARS = {
+    group: "{" + ",".join(n.rpartition(" ")[2] for n, *_ in _COMMANDS if n.rpartition(" ")[0] == group) + "}"
+    for group in ("", "demo")
+}
+
+
+def build_parser(rows=_COMMANDS) -> _Parser:
     """The parser for ``rows`` of the command table; by default the full tree."""
-    parser = parser_class(prog="fpw", description="finitely presented group workbench")
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    parser = _Parser(prog="fpw", description="finitely presented group workbench")
+    metavars = {} if rows is _COMMANDS else _METAVARS
+    groups = {"": parser.add_subparsers(dest="command", required=True, metavar=metavars.get(""))}
     for name, summary, func, arguments in rows:
         group, _, leaf = name.rpartition(" ")
         p = groups[group].add_parser(leaf, help=summary)
         for flags, kw in arguments:
             p.add_argument(*flags, **kw)
         if func is None:
-            groups[name] = p.add_subparsers(dest=f"{leaf}_command", required=True)
+            groups[name] = p.add_subparsers(dest=f"{leaf}_command", required=True, metavar=metavars.get(name))
         else:
             p.set_defaults(func=func)
     return parser
@@ -506,25 +502,19 @@ def _own_rows(argv: list[str]) -> list[tuple]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the rows ``argv`` names: building the other subparsers
-    costs far more than parsing.  Help with no leaf, unknown names and every
-    usage error go through the full tree, so their output is its own.  No
-    parser outlives the call."""
-    rows = _own_rows(argv)
-    if rows:
-        try:
-            return build_parser(rows, _RowParser).parse_args(argv)
-        except _HandOff:
-            pass
-    return build_parser().parse_args(argv)
+    """Parse once, with only the rows ``argv`` names when it names a leaf:
+    building the other subparsers costs far more than parsing.  Help with no
+    leaf and unknown names go through the full tree.  No parser outlives the
+    call."""
+    return build_parser(_own_rows(argv) or _COMMANDS).parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    # word, presentation and JSON syntax errors are ValueErrors
-    except (ValueError, TietzeError, OSError) as e:
+    # every rejected input is a ValueError: syntax errors, bad JSON, rejected moves
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -16,8 +16,8 @@ from typing import Callable, Collection, Iterator, NamedTuple
 from .words import (
     MAX_WORD_LETTERS,
     Alphabet,
+    ParseError,
     Word,
-    WordParseError,
     WordTooLong,
     _inverse,
     _join,
@@ -80,46 +80,41 @@ class RecursivePresentation(NamedTuple):
 Presentation = FinitePresentation | RecursivePresentation
 
 
-class PresentationSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
 def parse_presentation(text: str) -> FinitePresentation:
     """Parse ``< gens | relators >``.
 
     Generators are comma-separated names.  Relators are comma-separated, each
     either a word or an equation ``u = v`` (stored as the relator u v^-1).
     Empty relator clauses and relators that reduce to the empty word are
-    dropped.
+    dropped.  Malformed text, the words in it included, raises ``ParseError``
+    with the position of the fault in ``text``.
     """
     lt = text.find("<")
     if lt < 0 or text[:lt].strip():
-        raise PresentationSyntaxError("expected '<'", 0)
+        raise ParseError("expected '<'", 0)
     bar = text.find("|", lt)
     if bar < 0:
-        raise PresentationSyntaxError("expected '|'", len(text))
+        raise ParseError("expected '|'", len(text))
     gt = text.rfind(">")
     if gt < bar:
-        raise PresentationSyntaxError("expected '>'", len(text))
+        raise ParseError("expected '>'", len(text))
     if text[gt + 1 :].strip():
-        raise PresentationSyntaxError("unexpected text after '>'", gt + 1)
+        raise ParseError("unexpected text after '>'", gt + 1)
 
     names: list[str] = []
     pos = lt + 1
     for chunk in text[lt + 1 : bar].split(","):
         name = chunk.strip()
         if not name:
-            raise PresentationSyntaxError("empty generator name", pos)
+            raise ParseError("empty generator name", pos)
         if name in names:
-            raise PresentationSyntaxError(f"duplicate generator {name!r}", pos)
+            raise ParseError(f"duplicate generator {name!r}", pos)
         names.append(name)
         pos += len(chunk) + 1
     try:
         alphabet = Alphabet.of(*names)
     except ValueError as e:
-        raise PresentationSyntaxError(str(e), lt + 1) from None
+        raise ParseError(str(e), lt + 1) from None
 
     relators: list[Word] = []
     pos = bar + 1
@@ -127,16 +122,13 @@ def parse_presentation(text: str) -> FinitePresentation:
         if chunk.strip():
             sides = chunk.split("=")
             if len(sides) > 2:
-                raise PresentationSyntaxError("more than one '=' in relator", pos)
-            try:
-                if len(sides) == 1:
-                    rel = parse_word(alphabet, sides[0], offset=pos)
-                else:
-                    u = parse_word(alphabet, sides[0], offset=pos)
-                    v = parse_word(alphabet, sides[1], offset=pos + len(sides[0]) + 1)
-                    rel = u * invert(v)
-            except WordParseError as e:
-                raise PresentationSyntaxError(str(e).rsplit(" at position", 1)[0], e.position) from None
+                raise ParseError("more than one '=' in relator", pos)
+            if len(sides) == 1:
+                rel = parse_word(alphabet, sides[0], offset=pos)
+            else:
+                u = parse_word(alphabet, sides[0], offset=pos)
+                v = parse_word(alphabet, sides[1], offset=pos + len(sides[0]) + 1)
+                rel = u * invert(v)
             if not rel.is_identity:
                 relators.append(rel)
         pos += len(chunk) + 1

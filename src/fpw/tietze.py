@@ -4,8 +4,11 @@ Each move either carries enough evidence to validate immediately or is
 rejected; ``apply_move`` never guesses.  Adding a relator requires a
 triviality certificate for it; removing one requires a certificate deriving
 it from the relators that remain.  Generator moves are structural and need
-no certificate.  ``check_move`` additionally semi-decides certificate-free
-relator moves by searching the certificate stream under a budget.
+no certificate, only a valid alphabet after the move.  ``check_move``
+additionally semi-decides certificate-free relator moves by searching the
+certificate stream under a budget.  Every rejected move raises the one
+``TietzeError``, a ``ValueError`` whose message says why; ``apply_sequence``
+adds the step it failed at.
 
 Applied sequences produce a ``MoveLog`` of each move's canonical JSON and the
 hashes of the presentations around it.  ``verify_chain`` checks only that the
@@ -30,7 +33,7 @@ from .presentations import (
 from .words import Alphabet, GeneratorMap, Word, _word, concat, format_word, invert, parse_word, substitute
 
 
-class TietzeError(Exception):
+class TietzeError(ValueError):
     """A rejected move.  ``step`` is set when raised from ``apply_sequence``."""
 
     def __init__(self, message: str, step: int | None = None):
@@ -38,22 +41,6 @@ class TietzeError(Exception):
         self.step = step
         prefix = f"move {step}: " if step is not None else ""
         super().__init__(prefix + message)
-
-
-class InvalidCertificate(TietzeError):
-    pass
-
-
-class GeneratorNameClash(TietzeError):
-    pass
-
-
-class DefiningRelatorNotFound(TietzeError):
-    pass
-
-
-class IndexOutOfRange(TietzeError):
-    pass
 
 
 class AddRelator(NamedTuple):
@@ -86,6 +73,14 @@ def _lift(word: Word, alphabet: Alphabet) -> Word:
     return _word(alphabet, tuple(alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes))
 
 
+def _alphabet(names) -> Alphabet:
+    """The alphabet a generator move leaves; an invalid one rejects the move."""
+    try:
+        return Alphabet(names)
+    except ValueError as e:
+        raise TietzeError(str(e)) from None
+
+
 def _obligation(
     pres: FinitePresentation, move: AddRelator | RemoveRelator
 ) -> tuple[FinitePresentation, Word]:
@@ -93,61 +88,55 @@ def _obligation(
     that word; raises for a foreign word or an index out of range."""
     if isinstance(move, AddRelator):
         if move.word.alphabet != pres.generators:
-            raise InvalidCertificate("relator is not a word over the presentation's generators")
+            raise TietzeError("relator is not a word over the presentation's generators")
         return pres, move.word
     i, rels = move.index, pres.relators
     if not 0 <= i < len(rels):
-        raise IndexOutOfRange(f"relator index {i} out of range for {len(rels)} relators")
+        raise TietzeError(f"relator index {i} out of range for {len(rels)} relators")
     return FinitePresentation(pres.generators, rels[:i] + rels[i + 1 :]), rels[i]
 
 
 def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation:
-    """Apply one move, validating its evidence; raises TietzeError subclasses."""
+    """Apply one move, validating its evidence; raises TietzeError."""
     if isinstance(move, (AddRelator, RemoveRelator)):
         proved_in, word = _obligation(pres, move)
         adding = isinstance(move, AddRelator)
         if move.certificate is None:
-            raise InvalidCertificate(
+            raise TietzeError(
                 "adding a relator requires a triviality certificate" if adding
                 else "removing a relator requires a derivation certificate"
             )
         try:
             derived = certificate_word(proved_in, move.certificate)
         except ValueError as e:
-            raise InvalidCertificate(str(e)) from None
+            raise TietzeError(str(e)) from None
         if derived != word:
-            raise InvalidCertificate(f"certificate derives '{format_word(derived)}', not '{format_word(word)}'")
+            raise TietzeError(f"certificate derives '{format_word(derived)}', not '{format_word(word)}'")
         return FinitePresentation(pres.generators, pres.relators + (word,)) if adding else proved_in
 
     if isinstance(move, AddGenerator):
         if move.name in pres.generators:
-            raise GeneratorNameClash(f"generator '{move.name}' already present")
+            raise TietzeError(f"generator '{move.name}' already present")
         if move.definition.alphabet != pres.generators:
-            raise InvalidCertificate("definition is not a word over the existing generators")
-        new_alpha = Alphabet(pres.generators + (move.name,))
+            raise TietzeError("definition is not a word over the existing generators")
+        new_alpha = _alphabet(pres.generators + (move.name,))
         defining = concat(new_alpha.gen_word(move.name), invert(_lift(move.definition, new_alpha)))
         relators = tuple(_lift(r, new_alpha) for r in pres.relators) + (defining,)
         return FinitePresentation(new_alpha, relators)
 
     if isinstance(move, RemoveGenerator):
         if move.name not in pres.generators:
-            raise DefiningRelatorNotFound(f"presentation has no generator '{move.name}'")
+            raise TietzeError(f"presentation has no generator '{move.name}'")
         if not 0 <= move.index < len(pres.relators):
-            raise IndexOutOfRange(
-                f"relator index {move.index} out of range for {len(pres.relators)} relators"
-            )
+            raise TietzeError(f"relator index {move.index} out of range for {len(pres.relators)} relators")
         rel = pres.relators[move.index]
         code = pres.generators.code(move.name)
         if not rel.codes or rel.codes[0] != code:
-            raise DefiningRelatorNotFound(
-                f"relator {move.index} does not start with '{move.name}'"
-            )
+            raise TietzeError(f"relator {move.index} does not start with '{move.name}'")
         tail = _word(pres.generators, rel.codes[1:])
         if code in tail.codes or -code in tail.codes:
-            raise DefiningRelatorNotFound(
-                f"relator {move.index} uses '{move.name}' outside its leading letter"
-            )
-        new_alpha = Alphabet(g for g in pres.generators if g != move.name)
+            raise TietzeError(f"relator {move.index} uses '{move.name}' outside its leading letter")
+        new_alpha = _alphabet(g for g in pres.generators if g != move.name)
         definition = invert(_lift(tail, new_alpha))
         images = [definition if g == move.name else new_alpha.gen_word(g) for g in pres.generators]
         down = GeneratorMap(pres.generators, new_alpha, tuple(images))
@@ -256,7 +245,7 @@ def apply_sequence(
         try:
             current = apply_move(current, move)
         except TietzeError as e:
-            raise type(e)(e.message, step=i) from None
+            raise TietzeError(e.message, step=i) from None
         after = presentation_hash(current)
         entries.append(MoveLogEntry(_canonical_move_json(move), before, after))
         before = after

@@ -188,7 +188,10 @@ def commutator(u: Word, v: Word) -> Word:
     return concat(concat(u, v), concat(invert(u), invert(v)))
 
 
-class WordParseError(ValueError):
+class ParseError(ValueError):
+    """Malformed word text, or malformed presentation text with the words in
+    it; ``position`` is where the fault is in the text the caller passed."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
@@ -204,7 +207,7 @@ def parse_word(alphabet: Alphabet, text: str, *, offset: int = 0) -> Word:
     return _word(alphabet, _reduce(_spell(alphabet, text, offset=offset)))
 
 
-class WordTooLong(WordParseError):
+class WordTooLong(ParseError):
     """Word text that spells more letters than its reader allows."""
 
 
@@ -219,15 +222,15 @@ def _spell(alphabet: Alphabet, text: str, *, offset: int = 0, max_letters: int =
             try:
                 k = int(exp)
             except ValueError:
-                raise WordParseError(f"bad exponent {exp!r}", pos) from None
+                raise ParseError(f"bad exponent {exp!r}", pos) from None
             if k == 0:
-                raise WordParseError("zero exponent", pos)
+                raise ParseError("zero exponent", pos)
         else:
             name, k = token, 1
         try:
             code = alphabet.code(name)
         except ValueError:
-            raise WordParseError(f"unknown generator {name!r}", pos) from None
+            raise ParseError(f"unknown generator {name!r}", pos) from None
         if len(codes) + abs(k) > max_letters:
             raise WordTooLong(f"word longer than {max_letters} letters", pos)
         codes.extend([code if k > 0 else -code] * abs(k))

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpw import cli
 from fpw.cli import _COMMANDS, EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -475,12 +475,15 @@ def test_demo_recover_card_past_kmax_refuses_to_name_a_cardinality(capsys, argv)
 
 
 def test_usage_error_exit_code(capsys):
+    # the full tree names its subcommand argument by dest, not by a metavar
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == EXIT_USAGE
+    assert "the following arguments are required: command" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == EXIT_USAGE
+    assert "argument command: invalid choice: 'no-such-command'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["wfam"])  # missing required -i
     assert err.value.code == EXIT_USAGE
@@ -611,6 +614,16 @@ def _parse_outcome(parse, argv):
 
 @settings(max_examples=250, deadline=2000)
 @given(_fuzz_argv(), st.sampled_from([[], [], ["-h"], ["--json"], ["--no-such-flag"], ["extra"], ["-i", "x"]]))
+# argvs that name no leaf parse with the full tree; the rest with their rows
+@example([], [])
+@example(["-h"], [])
+@example(["bogus"], [])
+@example(["--no-such-flag"], [])
+@example(["demo"], [])
+@example(["demo", "-h"], [])
+@example(["demo", "bogus"], [])
+@example(["demo", "--no-such-flag"], [])
+@example(["demo", "recover-card"], ["--no-such-flag"])
 def test_one_row_parse_matches_the_full_tree(argv, tail):
     # the full tree is the oracle: the same Namespace, or the same usage error
     # (or help) byte for byte
@@ -633,4 +646,10 @@ def test_a_call_builds_only_the_subparsers_it_names(monkeypatch, capsys):
     built.clear()
     assert main(["demo", "non-hopfian"]) == EXIT_OK
     assert built == ["demo", "non-hopfian"]
+    built.clear()
+    # a usage error parses once, with the rows it names
+    with pytest.raises(SystemExit) as err:
+        main(["check-cert"])
+    assert err.value.code == EXIT_USAGE
+    assert built == ["check-cert"]
     capsys.readouterr()

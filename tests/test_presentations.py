@@ -14,7 +14,6 @@ from fpw.presentations import (
     Exhausted,
     FinitePresentation,
     IntMatrix,
-    PresentationSyntaxError,
     ProvedTrivial,
     RecursivePresentation,
     TrivialityCertificate,
@@ -28,7 +27,7 @@ from fpw.presentations import (
     smith_normal_form,
     trivial_word_stream,
 )
-from fpw.words import MAX_WORD_LETTERS, Alphabet, parse_word, shortlex_stream
+from fpw.words import MAX_WORD_LETTERS, Alphabet, ParseError, parse_word, shortlex_stream
 
 from conftest import w
 
@@ -84,7 +83,7 @@ def test_parse_multiple_relators_and_spacing():
     ],
 )
 def test_parse_errors(text):
-    with pytest.raises(PresentationSyntaxError) as err:
+    with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert err.value.position >= 0
 

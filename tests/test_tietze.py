@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -11,11 +12,7 @@ from fpw.presentations import (
 from fpw.tietze import (
     AddGenerator,
     AddRelator,
-    DefiningRelatorNotFound,
-    GeneratorNameClash,
-    IndexOutOfRange,
     Invalid,
-    InvalidCertificate,
     MoveLog,
     RemoveGenerator,
     RemoveRelator,
@@ -61,19 +58,19 @@ def test_add_then_remove_is_identity():
 
 
 def test_add_relator_requires_certificate():
-    with pytest.raises(InvalidCertificate):
+    with pytest.raises(TietzeError, match="requires a triviality certificate"):
         apply_move(X2, AddRelator(xw("x^4"), None))
 
 
 def test_add_relator_rejects_wrong_certificate():
     bogus = TrivialityCertificate((CertFactor(xw(""), 0, 1),))  # proves x^2, not x^3
-    with pytest.raises(InvalidCertificate):
+    with pytest.raises(TietzeError, match="certificate derives 'x\\^2', not 'x\\^3'"):
         apply_move(X2, AddRelator(xw("x^3"), bogus))
 
 
 def test_add_relator_rejects_foreign_word():
     other = parse_word(Alphabet.of("y"), "y")
-    with pytest.raises(TietzeError):
+    with pytest.raises(TietzeError, match="relator is not a word over the presentation's generators"):
         apply_move(X2, AddRelator(other, cert_x4()))
 
 
@@ -83,14 +80,14 @@ def test_remove_relator_certificate_is_over_remaining_relators():
     pres = parse_presentation("< x | x^2, x^4 >")
     wrong = TrivialityCertificate((CertFactor(xw(""), 0, 1),))
     # index 0 removes x^2; remaining relator x^4 generates only multiples of 4
-    with pytest.raises(InvalidCertificate):
+    with pytest.raises(TietzeError, match="certificate derives 'x\\^4', not 'x\\^2'"):
         apply_move(pres, RemoveRelator(0, wrong))
 
 
 def test_remove_relator_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TietzeError, match="out of range"):
         apply_move(X2, RemoveRelator(3, cert_x4()))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TietzeError, match="out of range"):
         apply_move(X2, RemoveRelator(-1, cert_x4()))
 
 
@@ -118,13 +115,13 @@ def test_add_generator_then_remove_round_trips():
 
 
 def test_add_generator_name_clash():
-    with pytest.raises(GeneratorNameClash):
+    with pytest.raises(TietzeError, match="already present"):
         apply_move(X2, AddGenerator("x", xw("x")))
 
 
 def test_add_generator_definition_must_avoid_new_name():
     free = parse_presentation("< x | >")
-    with pytest.raises(TietzeError):
+    with pytest.raises(TietzeError, match="definition is not a word over the existing generators"):
         apply_move(free, AddGenerator("y", parse_word(Alphabet.of("y"), "y")))
 
 
@@ -136,26 +133,26 @@ def test_add_generator_lifts_existing_relators():
 
 
 def test_remove_generator_missing_name():
-    with pytest.raises(DefiningRelatorNotFound):
+    with pytest.raises(TietzeError, match="has no generator 'q'"):
         apply_move(X2, RemoveGenerator("q", 0))
 
 
 def test_remove_generator_index_out_of_range():
     pres = apply_move(parse_presentation("< x | >"), AddGenerator("y", xw("x x")))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TietzeError, match="out of range"):
         apply_move(pres, RemoveGenerator("y", 5))
 
 
 def test_remove_generator_relator_must_be_defining_shape():
     # relator must read y * (word without y)^-1
     pres = parse_presentation("< x, y | x^2 y >")
-    with pytest.raises(DefiningRelatorNotFound):
+    with pytest.raises(TietzeError, match="does not start with 'y'"):
         apply_move(pres, RemoveGenerator("y", 0))
 
 
 def test_remove_generator_definition_must_avoid_the_generator():
     pres = parse_presentation("< x, y | y y x >")
-    with pytest.raises(DefiningRelatorNotFound):
+    with pytest.raises(TietzeError, match="outside its leading letter"):
         apply_move(pres, RemoveGenerator("y", 0))
 
 
@@ -195,6 +192,31 @@ def test_remove_middle_generator_reencodes_the_rest():
     assert result.format() == "< a, c | a c a^-1 c >"
 
 
+
+# a generator move whose alphabet would be invalid: a move that leaves it
+# valid, then the bad one, as JSON decoded against the presentation it meets
+_BAD_ALPHABET_MOVES = [
+    ("< x | x^2 >", {"op": "add_gen", "name": "y", "definition": "x"},
+     {"op": "add_gen", "name": "z^", "definition": "x"}, "invalid generator name: 'z^'"),
+    ("< x | x >", {"op": "add_rel", "word": "x^2", "cert": cert_x4().to_json()},
+     {"op": "rem_gen", "name": "x", "index": 0}, "alphabet must contain at least one generator"),
+]
+
+
+@pytest.mark.parametrize("text, first, bad, reason", _BAD_ALPHABET_MOVES, ids=["bad-name", "no-generator"])
+def test_apply_sequence_rejects_a_move_leaving_an_invalid_alphabet(text, first, bad, reason):
+    with pytest.raises(TietzeError, match=re.escape(f"move 1: {reason}")) as err:
+        apply_sequence(parse_presentation(text), [first, bad])
+    assert err.value.step == 1
+
+
+@pytest.mark.parametrize("text, first, bad, reason", _BAD_ALPHABET_MOVES, ids=["bad-name", "no-generator"])
+def test_check_move_rejects_a_move_leaving_an_invalid_alphabet(text, first, bad, reason):
+    pres = parse_presentation(text)
+    pres = apply_move(pres, parse_move(pres, first))
+    assert check_move(pres, parse_move(pres, bad), budget=10) == Invalid(reason)
+
+
 # ---------------------------------------------------------------- sequences and logs
 
 
@@ -220,7 +242,7 @@ def test_apply_sequence_reports_failing_step():
         AddRelator(xw("x^4"), cert_x4()),
         RemoveRelator(9, cert_x4()),
     ]
-    with pytest.raises(IndexOutOfRange) as err:
+    with pytest.raises(TietzeError, match="out of range") as err:
         apply_sequence(X2, moves)
     assert err.value.step == 1
     assert "move 1" in str(err.value)

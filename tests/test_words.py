@@ -17,8 +17,8 @@ from fpw.words import (
     MAX_WORD_LETTERS,
     Alphabet,
     GeneratorMap,
+    ParseError,
     Word,
-    WordParseError,
     commutator,
     concat,
     format_word,
@@ -81,9 +81,9 @@ def test_word_rejects_foreign_letters_and_bad_signs():
     # letters enter only through the validating readers: Word has no public constructor
     with pytest.raises(TypeError):
         Word(ST, (1,))
-    with pytest.raises(WordParseError, match="unknown generator"):
+    with pytest.raises(ParseError, match="unknown generator"):
         parse_word(T_ONLY, "s")
-    with pytest.raises(WordParseError, match="zero exponent"):
+    with pytest.raises(ParseError, match="zero exponent"):
         parse_word(ST, "s^0")
     with pytest.raises(ValueError, match="not over the codomain"):
         GeneratorMap(T_ONLY, T_ONLY, (w("t"),))
@@ -143,24 +143,24 @@ def test_parse_word_examples():
 
 
 def test_parse_word_errors_carry_positions():
-    with pytest.raises(WordParseError) as err:
+    with pytest.raises(ParseError) as err:
         parse_word(ST, "t s^0")
     assert err.value.position == 2
-    with pytest.raises(WordParseError):
+    with pytest.raises(ParseError):
         parse_word(ST, "t^x")
-    with pytest.raises(WordParseError):
+    with pytest.raises(ParseError):
         parse_word(ST, "q")
 
 
 def test_parse_word_caps_the_letter_count():
     assert len(parse_word(ST, f"t^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
-    with pytest.raises(WordParseError) as err:
+    with pytest.raises(ParseError) as err:
         parse_word(ST, f"s t^{MAX_WORD_LETTERS}")
     assert err.value.position == 2
     # the cap counts letters before reduction, and refuses before allocating
-    with pytest.raises(WordParseError):
+    with pytest.raises(ParseError):
         parse_word(ST, f"t^{MAX_WORD_LETTERS} t^-1 t")
-    with pytest.raises(WordParseError):
+    with pytest.raises(ParseError):
         parse_word(ST, "t^100000000000000000000")
 
 
