@@ -53,10 +53,6 @@ class SyllableWord(NamedTuple):
     t_runs: tuple[int, ...]
     s_signs: tuple[int, ...]
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.s_signs and self.t_runs[0] == 0
-
     def format(self) -> str:
         parts = [f"t^{self.t_runs[0]}"]
         for e, a in zip(self.s_signs, self.t_runs[1:]):

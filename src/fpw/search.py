@@ -21,7 +21,8 @@ tuple decoded through the Cantor bijection into shortlex word indices, so
 every finite pair of maps is eventually tried.  A candidate pair whose
 obligations already fail in the abelianization can never verify and is
 skipped without consuming stream budget or building a word.  A search pulls
-each presentation's certificate stream once and reads every pair off it.
+each presentation's certificate stream once and reads every pair off it, and
+what pair z finds and costs depends only on z, not on the pairs before it.
 """
 
 from __future__ import annotations
@@ -130,36 +131,6 @@ def _map_at(domain: Alphabet, codomain: Alphabet, a: int) -> GeneratorMap:
     return GeneratorMap(domain, codomain, tuple(shortlex_word(codomain, i) for i in idx))
 
 
-class _AbelianTester:
-    """Necessary-condition filter: a word trivial in the group must have its
-    exponent vector in the integer row span of the relator matrix."""
-
-    def __init__(self, pres: FinitePresentation):
-        _, d, v = smith_normal_form(exponent_matrix(pres))
-        diag = d.diagonal()
-        self._columns = [(col, diag[j] if j < len(diag) else 0) for j, col in enumerate(zip(*v.entries))]
-
-    def passes(
-        self, relator_vectors: Sequence[Sequence[int]], m_there: list[tuple[int, ...]], m_back: list[tuple[int, ...]]
-    ) -> bool:
-        """Whether every obligation of this side for a pair (there, back) can
-        be trivial, read off exponent vectors with no word built.  Row h of
-        ``m_there``/``m_back`` is the exponent vector of that map's image of
-        generator h; substitute(r, back) has vector e(r) m_back, the round trip
-        of generator g has m_there[g] m_back - e_g, and ``vec V`` must be
-        entrywise a multiple of the Smith diagonal."""
-        cols = list(zip(*m_back))
-        for i, row in enumerate([*m_there, *relator_vectors]):
-            vec = [sum(map(operator.mul, row, col)) for col in cols]
-            if i < len(m_there):
-                vec[i] -= 1
-            for col, d in self._columns:
-                val = sum(map(operator.mul, vec, col))
-                if val % d if d else val:
-                    return False
-        return True
-
-
 def _round_trips(there: GeneratorMap, back: GeneratorMap) -> list[Word]:
     """back(there(g)) g^-1 for each generator g of ``there``'s domain; all are
     trivial exactly when back . there fixes every generator."""
@@ -180,18 +151,43 @@ class _Side:
     codes of each distinct word of that prefix to its first emission position
     (from 1); every candidate pair of the search reads the same prefix.
     Candidate maps into this side's words are unranked on demand and memoised
-    with their exponent vectors, since the Cantor order revisits each one."""
+    with their exponent vectors, since the Cantor order revisits each one.
+    The exponent matrix is built once: its rows are ``relator_vectors``, and
+    its Smith form gives the abelian filter ``passes``."""
 
     def __init__(self, pres: FinitePresentation, cap: int):
         self.pres = pres
-        self.abelian = _AbelianTester(pres)
-        self.relator_vectors = exponent_matrix(pres).entries
+        matrix = exponent_matrix(pres)
+        self.relator_vectors = matrix.entries
+        _, d, v = smith_normal_form(matrix)
+        diag = d.diagonal()
+        self._columns = [(col, diag[j] if j < len(diag) else 0) for j, col in enumerate(zip(*v.entries))]
         self.cap = cap
         self.first: dict[tuple[int, ...], int] = {}
         self.pulled = 0
         self.ended = False
         self._stream = _emissions(pres)
         self._maps: dict[tuple[Alphabet, int], tuple[GeneratorMap, list[tuple[int, ...]]]] = {}
+
+    def passes(self, far: _Side, m_there: list[tuple[int, ...]], m_back: list[tuple[int, ...]]) -> bool:
+        """Whether every obligation of this side for a pair (there, back) can
+        be trivial, read off exponent vectors with no word built: a word
+        trivial in the group has its exponent vector in the integer row span
+        of the relator matrix.  Row h of ``m_there``/``m_back`` is the exponent
+        vector of that map's image of generator h; substitute(r, back) for a
+        relator r of ``far`` has vector e(r) m_back, the round trip of
+        generator g has m_there[g] m_back - e_g, and ``vec V`` must be
+        entrywise a multiple of the Smith diagonal."""
+        cols = list(zip(*m_back))
+        for i, row in enumerate([*m_there, *far.relator_vectors]):
+            vec = [sum(map(operator.mul, row, col)) for col in cols]
+            if i < len(m_there):
+                vec[i] -= 1
+            for col, d in self._columns:
+                val = sum(map(operator.mul, vec, col))
+                if val % d if d else val:
+                    return False
+        return True
 
     def map_from(self, domain: Alphabet, a: int) -> tuple[GeneratorMap, list[tuple[int, ...]]]:
         """Candidate map ``a`` from ``domain`` into this side's words, with the
@@ -216,8 +212,9 @@ class _Side:
         return codes
 
 
-class _PairScanner:
-    """Sequentially verifies candidate map pairs between two presentations.
+def _attempt(left: _Side, right: _Side, z: int) -> tuple[IsoWitness | None, int]:
+    """Verify candidate pair z between two sides; returns (witness or None,
+    emissions used).
 
     Pair z decodes as (a, b) = cantor_unpair(z); map a runs left -> right,
     map b right -> left.  A pair verifies when both homomorphism obligations
@@ -229,42 +226,32 @@ class _PairScanner:
     obligations all appear by position ``need`` <= cap spends ``need``; a side
     that cannot meet them fails at round cap, or at its stream length + 1 if
     the stream is shorter; and every side spends at most the earliest failure
-    round.  No side is pulled past a round where the other is known to fail.
+    round.  No side is pulled past a round where the other is known to fail,
+    and the result depends only on z, not on how deep earlier pairs pulled.
     """
-
-    def __init__(self, left: _Side, right: _Side):
-        self.left = left
-        self.right = right
-        self.next_pair = 0
-
-    def attempt_next(self) -> tuple[IsoWitness | None, int]:
-        """Verify the next pair; returns (witness or None, emissions used)."""
-        a, b = cantor_unpair(self.next_pair)
-        self.next_pair += 1
-        left, right = self.left, self.right
-        phi, m_phi = right.map_from(left.pres.generators, a)
-        psi, m_psi = left.map_from(right.pres.generators, b)
-        if not (left.abelian.passes(right.relator_vectors, m_phi, m_psi)
-                and right.abelian.passes(left.relator_vectors, m_psi, m_phi)):
-            return None, 0
-        obligations = (_obligations(phi, psi, right.pres), _obligations(psi, phi, left.pres))
-        targets = [{t.codes for t in ts} for ts in obligations]
-        # per side: the side, its obligations, those not in its prefix yet
-        state = [(s, ts, {t for t in ts if t not in s.first}) for s, ts in zip((left, right), targets)]
-        while True:  # a full side still missing a word fails at its cap, or at its length + 1 if it ended
-            fail = min((s.pulled + s.ended for s, _, missing in state if missing and s.full), default=None)
-            growing = [
-                (s, missing) for s, _, missing in state
-                if missing and not s.full and (fail is None or s.pulled < fail)
-            ]
-            if not growing:
-                break
-            s, missing = min(growing, key=lambda g: g[0].pulled)
-            missing.discard(s.pull())
-        spent = [s.pulled if missing else max(map(s.first.get, ts), default=0) for s, ts, missing in state]
-        if fail is None:
-            return IsoWitness(forward=phi, backward=psi), sum(spent)
-        return None, sum(min(x, fail) for x in spent)
+    a, b = cantor_unpair(z)
+    phi, m_phi = right.map_from(left.pres.generators, a)
+    psi, m_psi = left.map_from(right.pres.generators, b)
+    if not (left.passes(right, m_phi, m_psi) and right.passes(left, m_psi, m_phi)):
+        return None, 0
+    obligations = (_obligations(phi, psi, right.pres), _obligations(psi, phi, left.pres))
+    targets = [{t.codes for t in ts} for ts in obligations]
+    # per side: the side, its obligations, those not in its prefix yet
+    state = [(s, ts, {t for t in ts if t not in s.first}) for s, ts in zip((left, right), targets)]
+    while True:  # a full side still missing a word fails at its cap, or at its length + 1 if it ended
+        fail = min((s.pulled + s.ended for s, _, missing in state if missing and s.full), default=None)
+        growing = [
+            (s, missing) for s, _, missing in state
+            if missing and not s.full and (fail is None or s.pulled < fail)
+        ]
+        if not growing:
+            break
+        s, missing = min(growing, key=lambda g: g[0].pulled)
+        missing.discard(s.pull())
+    spent = [s.pulled if missing else max(map(s.first.get, ts), default=0) for s, ts, missing in state]
+    if fail is None:
+        return IsoWitness(forward=phi, backward=psi), sum(spent)
+    return None, sum(min(x, fail) for x in spent)
 
 
 def iso_search(
@@ -279,10 +266,10 @@ def iso_search(
     ``max_candidates`` cannot change a witness that was already found.
     """
     cap = budget.max_stream_steps
-    scanner = _PairScanner(_Side(left, cap), _Side(right, cap))
+    sides = (_Side(left, cap), _Side(right, cap))
     units = 0
     for z in range(budget.max_candidates):
-        witness, used = scanner.attempt_next()
+        witness, used = _attempt(*sides, z)
         units += used
         if witness is not None:
             return Found(witness, pair_index=z, steps=units)
@@ -339,7 +326,7 @@ def subgroup_presentation_search(
     accepted: list[Word] = []
     cap = budget.max_stream_steps
     target_side = _Side(target, cap)  # one prefix and one abelian filter for every P_k
-    scanners = [_PairScanner(target_side, _Side(FinitePresentation(fresh, ()), cap))]
+    live = {_Side(FinitePresentation(fresh, ()), cap): 0}  # each P_k's side -> the index of its next pair
     candidates = 0
     units = 0
     while candidates < budget.max_candidates:
@@ -348,15 +335,15 @@ def subgroup_presentation_search(
         units += 1
         if oracle_parent(substitute(c, to_parent)):
             accepted.append(c)
-            scanners.append(_PairScanner(target_side, _Side(FinitePresentation(fresh, tuple(accepted)), cap)))
-        for scanner in scanners:
+            live[_Side(FinitePresentation(fresh, tuple(accepted)), cap)] = 0
+        for side, z in live.items():
             if candidates >= budget.max_candidates:
                 break
             candidates += 1
-            witness, used = scanner.attempt_next()
+            live[side] = z + 1
+            witness, used = _attempt(target_side, side, z)
             units += used
             if witness is not None:
-                pk = scanner.right.pres
-                return SubgroupFound(len(pk.relators), pk, witness, steps=units)
+                return SubgroupFound(len(side.pres.relators), side.pres, witness, steps=units)
     return Exhausted(units)
 

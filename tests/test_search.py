@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -28,8 +29,8 @@ from fpw.search import (
     semidecide_homomorphism,
     subgroup_presentation_search,
     verify_iso_witness,
+    _attempt,
     _map_at,
-    _PairScanner,
     _round_trips,
     _Side,
 )
@@ -388,33 +389,35 @@ SCANNER_CASES = [
 ]
 
 
-def _scanner(left, right, per_side):
-    return _PairScanner(_Side(left, per_side), _Side(right, per_side))
+# the orders in which the oracle test tries pairs 0..59 on fresh sides
+Z_ORDERS = (range(60), range(59, -1, -1), random.Random(22).sample(range(60), 60))
 
 
 @pytest.mark.parametrize("per_side", [0, 1, 3, 20, 60])
 def test_pair_scanner_matches_the_lockstep_oracle(per_side):
-    # every ordered pair of presentations, the first 60 candidate pairs each:
-    # the same witness maps and the same emission count on every pair
+    # every ordered pair of presentations, the first 60 candidate pairs each,
+    # tried on fresh sides in order, reversed and shuffled: the same witness
+    # maps and the same emission count as the in-order oracle on every pair
     for left in SCANNER_CASES:
         for right in SCANNER_CASES:
             oracle = _OraclePairScanner(left, right, per_side)
-            scanner = _scanner(left, right, per_side)
-            for z in range(60):
-                expected, got = oracle.attempt_next(), scanner.attempt_next()
-                assert got == expected, (left.format(), right.format(), per_side, z)
+            expected = [oracle.attempt_next() for _ in range(60)]
+            for order in Z_ORDERS:
+                sides = (_Side(left, per_side), _Side(right, per_side))
+                for z in order:
+                    assert _attempt(*sides, z) == expected[z], (left.format(), right.format(), per_side, z)
 
 
-def _pair_index(scanner, phi_text, psi_text):
-    """The candidate pair index z at which ``scanner`` decodes the given maps."""
+def _pair_index(left, right, phi_text, psi_text):
+    """The candidate pair index z at which pairs from ``left`` to ``right``
+    decode as the given maps."""
     def index(alphabet, image):
         return next(i for i in itertools.count() if shortlex_word(alphabet, i) == image)
 
-    left, right = scanner.left, scanner.right
-    phi = GeneratorMap.parse(left.pres.generators, right.pres.generators, phi_text)
-    psi = GeneratorMap.parse(right.pres.generators, left.pres.generators, psi_text)
-    a = cantor_tuple(tuple(index(right.pres.generators, img) for img in phi.images))
-    b = cantor_tuple(tuple(index(left.pres.generators, img) for img in psi.images))
+    phi = GeneratorMap.parse(left.generators, right.generators, phi_text)
+    psi = GeneratorMap.parse(right.generators, left.generators, psi_text)
+    a = cantor_tuple(tuple(index(right.generators, img) for img in phi.images))
+    b = cantor_tuple(tuple(index(left.generators, img) for img in psi.images))
     return cantor_pair(a, b)
 
 
@@ -437,17 +440,16 @@ def test_pair_scanner_when_a_finite_stream_fails_first(left, right, phi_text, ps
     # < a, b | > emits only the empty word, so its side fails at round 2, and
     # the other side spends at most 2 emissions however deep its prefix is
     oracle = _OraclePairScanner(left, right, 60)
-    fresh, warm = _scanner(left, right, 60), _scanner(left, right, 60)
-    for side in (warm.left, warm.right):  # as if earlier pairs had pulled deeper
+    fresh, warm = (_Side(left, 60), _Side(right, 60)), (_Side(left, 60), _Side(right, 60))
+    for side in warm:  # as if earlier pairs had pulled deeper
         for _ in range(10):
             side.pull()
-    for scanner in (oracle, fresh, warm):
-        scanner.next_pair = _pair_index(fresh, phi_text, psi_text)
+    z = oracle.next_pair = _pair_index(left, right, phi_text, psi_text)
     expected = oracle.attempt_next()
     assert expected == (None, 3)
-    assert fresh.attempt_next() == expected
-    assert warm.attempt_next() == expected
-    assert (fresh.left.pulled, fresh.right.pulled) == pulled
+    assert _attempt(*fresh, z) == expected
+    assert _attempt(*warm, z) == expected
+    assert (fresh[0].pulled, fresh[1].pulled) == pulled
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,10 +466,20 @@ def test_exponent_vector_filter_matches_the_word_filter(left, right, a, b):
     psi = _map_at(right.generators, left.generators, b)
     m_phi = [exponent_vector(right.generators, img) for img in phi.images]
     m_psi = [exponent_vector(left.generators, img) for img in psi.images]
-    by_vectors = ls.abelian.passes(rs.relator_vectors, m_phi, m_psi) and rs.abelian.passes(
-        ls.relator_vectors, m_psi, m_phi
-    )
+    by_vectors = ls.passes(rs, m_phi, m_psi) and rs.passes(ls, m_psi, m_phi)
     assert by_vectors == oracle.abelian_ok(phi, psi)
+
+
+def test_a_side_builds_its_exponent_matrix_once(monkeypatch):
+    calls = {"exponent_matrix": 0, "smith_normal_form": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(fpw.search, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fpw.search, name, counting)
+    _Side(parse_presentation("< a, b | a^3, a b a^-1 b^-1 >"), 10)
+    assert calls == {"exponent_matrix": 1, "smith_normal_form": 1}
 
 
 def _count_streams(monkeypatch):
