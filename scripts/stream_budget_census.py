@@ -2,8 +2,8 @@
 
 Answers two questions the test suite pins constants from:
 
-  1. which reduced words of length <= L are trivial in BS(2,3) (brute
-     shortlex scan against the Britton solver), and
+  1. which reduced words of length <= L are trivial in BS(2,3) (the
+     shortlex kernel stream of the identity map, cut at length L), and
   2. at what emission index the certificate stream first produces each
      of them.
 
@@ -15,19 +15,13 @@ import argparse
 import itertools
 import time
 
-from fpw.bs import BS23, ST, bs_is_trivial, bs_presentation
+from fpw.bs import BS23, bs_presentation, kernel_stream
 from fpw.presentations import _emissions
-from fpw.words import format_word, shortlex_stream
+from fpw.words import format_word
 
 
 def census(max_len: int) -> list:
-    found = []
-    for word in shortlex_stream(ST):
-        if len(word) > max_len:
-            break
-        if bs_is_trivial(BS23, word):
-            found.append(word)
-    return found
+    return list(itertools.takewhile(lambda w: len(w) <= max_len, kernel_stream(0)))
 
 
 def main() -> None:

@@ -12,6 +12,7 @@ moves), 2 for searches that ran out of budget (Exhausted or Unverifiable),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from functools import partial
@@ -182,9 +183,7 @@ def _cmd_enum_trivial(args) -> int:
     if args.count < 0:
         raise ValueError("count must be >= 0")
     pres = _load_presentation(args.presentation)
-    emitted = []
-    for (w, cert), _ in zip(trivial_word_stream(pres), range(args.count)):
-        emitted.append((w, cert))
+    emitted = list(itertools.islice(trivial_word_stream(pres), args.count))
     if args.json:
         _print_json([{"word": format_word(w), "cert": c.to_json()} for w, c in emitted])
     else:

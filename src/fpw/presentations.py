@@ -414,53 +414,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("entries
             cols = len(rows[0])
         return cls(len(rows), cols, tuple(tuple(int(x) for x in r) for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix shape mismatch")
-        rows = []
-        for i in range(self.rows):
-            rows.append(
-                tuple(
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-            )
-        return IntMatrix(self.rows, other.cols, tuple(rows))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -481,7 +434,7 @@ def exponent_vector(alphabet: Alphabet, w: Word) -> tuple[int, ...]:
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with D = U @ a @ V in Smith normal form.
+    """Return unimodular (U, D, V) with D = U a V in Smith normal form.
 
     D is diagonal with nonnegative entries and d1 | d2 | ... ; U and V have
     determinant +-1.  All arithmetic is exact over Python ints.

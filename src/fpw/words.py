@@ -120,12 +120,6 @@ class Word:
     def __invert__(self) -> "Word":
         return invert(self)
 
-    def __pow__(self, k: int) -> "Word":
-        if len(self.codes) * abs(k) > MAX_WORD_LETTERS:
-            raise ValueError(f"power spells more than {MAX_WORD_LETTERS} letters")
-        codes = self.codes if k >= 0 else _inverse(self.codes)
-        return _word(self.alphabet, _reduce(codes * abs(k)))
-
     def __str__(self) -> str:
         return format_word(self)
 

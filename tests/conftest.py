@@ -1,4 +1,6 @@
 import bisect
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,20 @@ def w(text, alphabet=ST):
 
 def alpha(*names):
     return Alphabet.of(*names)
+
+
+# The benchmark's independent checkers: no code shared with fpw, so they judge
+# fpw's outputs without repeating its mistakes.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+def snf_error(a, u, d, v):
+    """Why (U, D, V) is not a Smith normal form of ``a``, or None if it is."""
+    return reference.snf_error(*([list(row) for row in m.entries] for m in (a, u, d, v)))
 
 
 # The shortlex table fpw kept before positions were unranked in closed form;

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from fpw.bs import BS23, ST, bs_is_trivial, w_family
+from fpw.bs import BS23, bs_is_trivial, w_family
 from fpw.harness import (
     ExplicitFiniteSet,
     _linear_witness,
@@ -254,9 +254,8 @@ def test_linear_witnesses_die_exactly_at_their_level():
 
 
 def test_linear_witness_matches_the_commutator_construction():
-    s, t = ST.gen_word("s"), ST.gen_word("t")
     for j in range(65):
-        assert _linear_witness(j) == commutator(~s**j * t * s**j, t)
+        assert _linear_witness(j) == commutator(w(f"s^-{j} t s^{j}" if j else "t"), w("t"))
 
 
 def test_recover_cardinality_has_no_level_cap():

@@ -49,8 +49,8 @@ print(sum(s.size for s in stats), sum(s.size for s in stats if s.traceback[0].fi
 """
 
 # What one re-import of fpw and fpw.cli holds once its garbage is collected:
-# 546,200 bytes measured on Python 3.11.7, plus about 16%.
-MAX_REIMPORT_BYTES = 635_000
+# 508,700 bytes measured on Python 3.11.7 (most of three runs), plus about 16%.
+MAX_REIMPORT_BYTES = 590_000
 
 
 def test_reimport_holds_no_generated_dataclass_methods_and_stays_small():

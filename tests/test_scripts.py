@@ -1,7 +1,9 @@
-"""Smoke test: every script in scripts/ runs with its smallest arguments."""
+"""Smoke test: every script in scripts/ runs with its smallest arguments and
+prints the lines pinned for them."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +14,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script,args",
+    "script,args,expected",
     [
-        ("stream_budget_census.py", ["--max-len", "2", "--stream-cap", "200"]),
+        ("stream_budget_census.py", ["--max-len", "2", "--stream-cap", "200"], []),
+        (
+            "stream_budget_census.py",
+            ["--max-len", "8", "--stream-cap", "200"],
+            ["trivial words of reduced length <= 8: 15", "max position: 151"],
+        ),
     ],
 )
-def test_script_runs(script, args):
+def test_script_runs(script, args, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
@@ -25,6 +32,8 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    for line in expected:  # a pinned line may go on, after a word boundary, with a timing
+        assert re.search(rf"^{re.escape(line)}\b", proc.stdout, re.M), line
 
 
 def test_bench_writes_layer_numbers(tmp_path):
