@@ -25,7 +25,7 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     {4}, which reads 21 relators and derives v_1 (ms per case and in all,
     with the derived v_1);
   * ``smith_normal_form`` on seeded dense n x n matrices with entries in
-    [-9, 9], for n = 4, 8, 12, with the largest entry of U and V in bits
+    [-9, 9], for n = 4, 8, 12, 24, with the largest entry of U and V in bits
     (ms per size and in all);
   * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
   * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
@@ -205,7 +205,7 @@ def measure(repeat: int) -> dict:
         return {"ms": secs * 1e3, "subsets": len(subsets), "mismatches": len(mismatches)}
 
     def snf_by_size():
-        sizes, size_ms, bits = (4, 8, 12), [], []
+        sizes, size_ms, bits = (4, 8, 12, 24), [], []
         for n in sizes:
             rng = random.Random(n)
             a = IntMatrix(n, n, tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)))

@@ -142,15 +142,14 @@ def _linear_witness(j: int) -> Word:
 def recover_cardinality(oracle: Callable[[Word], bool], k_max: int) -> int:
     """Read |W| back off a tower oracle known to sit at level <= k_max.
 
-    Tests the linear witnesses v_0 .. v_{k_max + 1} and returns the largest
-    index the oracle calls trivial; for the level-k oracle that is exactly k.
-    The answer is only meaningful under the level bound, which is why the
-    bound is an explicit argument.
+    v_j dies exactly from level j on, so this tests v_1, v_2, ... while each
+    dies, up to v_{k_max + 1}, and returns the last index that died; for the
+    level-k oracle that is exactly k.  The answer is only meaningful under the
+    level bound, which is why the bound is an explicit argument.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    best = 0
-    for j in range(k_max + 2):
-        if oracle(_linear_witness(j)):
-            best = j
-    return best
+    j = 0
+    while j <= k_max and oracle(_linear_witness(j + 1)):
+        j += 1
+    return j

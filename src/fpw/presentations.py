@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .words import (
@@ -439,10 +438,12 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     D is diagonal with nonnegative entries and d1 | d2 | ... ; U and V have
     determinant +-1.  All arithmetic is exact over Python ints.
 
-    Extended-gcd elimination: the smallest nonzero entry of the trailing block
-    moves to (k, k); column k and row k (column k of the transpose, with V
-    kept transposed) are cleared until both are clean; a trailing entry the
-    pivot does not divide has its row added into row k, and k is redone.
+    Remainder elimination (Cohen, GTM 138, 2.4): the smallest nonzero entry of
+    the trailing block moves to (k, k), and the pivot p is divided into column
+    k by row moves and into row k by column moves (row moves on V, which is
+    kept transposed).  A remainder left in row or column k is smaller than
+    |p|, so k is redone, as it is after a row holding a trailing entry p does
+    not divide is added into row k.
     """
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
@@ -458,14 +459,18 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for r in m:
             r[k], r[j] = r[j], r[k]
         vt[k], vt[j] = vt[j], vt[k]
-        while True:
-            _clear_column(m, u, k)
-            mt = [list(c) for c in zip(*m)]
-            pivot_moved = _clear_column(mt, vt, k)
-            m = [list(r) for r in zip(*mt)]
-            if not pivot_moved:
-                break
-        p = m[k][k]
+        p, mk, uk = m[k][k], m[k], u[k]
+        for i in range(k + 1, rows):
+            if q := m[i][k] // p:
+                m[i] = [x - q * y for x, y in zip(m[i], mk)]
+                u[i] = [x - q * y for x, y in zip(u[i], uk)]
+        for j in range(k + 1, cols):
+            if q := mk[j] // p:
+                for r in m[k:]:
+                    r[j] -= q * r[k]
+                vt[j] = [x - q * y for x, y in zip(vt[j], vt[k])]
+        if any(mk[k + 1 :]) or any(m[i][k] for i in range(k + 1, rows)):
+            continue
         bad = next((i for i in range(k + 1, rows) if any(x % p for x in m[i][k + 1 :])), None)
         if bad is not None:
             m[k] = [x + y for x, y in zip(m[k], m[bad])]
@@ -476,30 +481,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         k += 1
     v = IntMatrix.from_rows(list(zip(*vt)), cols)
     return IntMatrix.from_rows(u, rows), IntMatrix.from_rows(m, cols), v
-
-
-def _clear_column(m: list[list[int]], u: list[list[int]], k: int) -> bool:
-    """Zero column k of ``m`` below (k, k) by row transforms, also applied to
-    ``u``; return whether the pivot changed.  Entry b under pivot a goes by
-    [x y; -b/g a/g] on rows k and i (determinant 1, g = x a + y b = gcd(a, b)),
-    a plain subtraction when a | b."""
-    moved = False
-    for i in range(k + 1, len(m)):
-        a, b = m[k][k], m[i][k]
-        if b == 0:
-            continue
-        if b % a == 0:
-            g, x, y = a, 1, 0
-        else:
-            g = math.gcd(a, b)
-            x = pow(a // g, -1, abs(b // g))
-            y, moved = (g - a * x) // b, True
-        p, q = -b // g, a // g
-        for t in (m, u):
-            rk, ri = t[k], t[i]
-            t[k] = [x * c + y * d for c, d in zip(rk, ri)] if y else rk
-            t[i] = [p * c + q * d for c, d in zip(rk, ri)]
-    return moved
 
 
 def abelianization_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:

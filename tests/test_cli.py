@@ -388,9 +388,11 @@ def test_substitution_past_the_letter_cap_is_a_bounded_domain_error():
     assert proc.stderr == "error: substitution spells more than 1048576 letters\n"
 
 
-def test_recover_card_reads_levels_past_the_witness_family_cap():
-    # the linear witnesses v_j stay short, so no k_max is too large
-    proc = _run_cli_process(["demo", "recover-card", "--kmax", "40"], timeout=30)
+@pytest.mark.parametrize("kmax", [40, 10**8])
+def test_recover_card_reads_levels_past_the_witness_family_cap(kmax):
+    # the linear witnesses v_j stay short and the scan stops at the first
+    # survivor, so no k_max is too large
+    proc = _run_cli_process(["demo", "recover-card", "--kmax", str(kmax)], timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "|W| = 2\n", "")
 
 

@@ -64,8 +64,8 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert by_level["last"] == ["s t^2 s t^-3 s^-2"] + ["s^-1 t s t s^-1 t^-1 s t^-1"] * 3
     assert len(by_level["level_ms"]) == 4 and all(ms > 0 for ms in by_level["level_ms"])
     snf = run["layers"]["presentations.snf_by_size"]
-    assert snf["n"] == [4, 8, 12] and len(snf["size_ms"]) == 3 and all(ms > 0 for ms in snf["size_ms"])
-    assert len(snf["max_entry_bits"]) == 3 and all(bits >= 1 for bits in snf["max_entry_bits"])
+    assert snf["n"] == [4, 8, 12, 24] and len(snf["size_ms"]) == 4 and all(ms > 0 for ms in snf["size_ms"])
+    assert len(snf["max_entry_bits"]) == 4 and all(bits >= 1 for bits in snf["max_entry_bits"])
     cert_eval = run["layers"]["presentations.certificate_word"]
     assert len(cert_eval["case_ms"]) == 2 and all(ms > 0 for ms in cert_eval["case_ms"])
     assert cert_eval["tower_v1"] == "s^-1 t s t s^-1 t^-1 s t^-1"  # v_1, relator 20 of the tower for {4}
