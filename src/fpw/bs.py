@@ -23,7 +23,6 @@ from .words import (
     GeneratorMap,
     Word,
     _word,
-    commutator,
     invert,
     parse_word,
     shortlex_stream,
@@ -59,9 +58,6 @@ class SyllableWord(NamedTuple):
             parts.append(f"s^{e}")
             parts.append(f"t^{a}")
         return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.format()
 
 
 def _pinch(runs, signs, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -200,7 +196,7 @@ def w_family(i: int) -> Word:
         raise ValueError(f"w_{i} would have more than {MAX_WORD_LETTERS} letters")
     if i == 0:
         return ST.empty_word()
-    w = commutator(parse_word(ST, "s^-1 t s"), parse_word(ST, "t"))
+    w = parse_word(ST, "s^-1 t s t s^-1 t^-1 s t^-1")  # [s^-1 t s, t]
     shrink = f_preimage_witnesses()
     for _ in range(i - 1):
         w = substitute(w, shrink)

@@ -89,10 +89,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _alphabet(text: str) -> Alphabet:
-    return Alphabet.of(*(p.strip() for p in text.split(",")))
-
-
 def _params(args) -> BSParams:
     return BSParams(args.m, args.n)
 
@@ -123,7 +119,7 @@ def _print_json(payload) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    alpha = _alphabet(args.alphabet)
+    alpha = Alphabet.of(*(p.strip() for p in args.alphabet.split(",")))
     w = parse_word(alpha, args.word)
     print(format_word(w))
     return EXIT_OK
@@ -170,9 +166,8 @@ def _cmd_wfam(args) -> int:
 def _cmd_kernel_enum(args) -> int:
     if args.count < 0:
         raise ValueError("count must be >= 0")
-    stream = kernel_stream(args.iterate)
-    for _ in range(args.count):
-        print(format_word(next(stream)))
+    for w in itertools.islice(kernel_stream(args.iterate), args.count):
+        print(format_word(w))
     return EXIT_OK
 
 

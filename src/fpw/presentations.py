@@ -9,7 +9,6 @@ invariants via an exact integer Smith normal form.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .words import (
@@ -57,9 +56,6 @@ class FinitePresentation(NamedTuple("FinitePresentation", [("generators", Alphab
         """Serialization with relators sorted in shortlex order (for hashing)."""
         return FinitePresentation(self.generators, tuple(sorted(self.relators, key=Word.shortlex_key))).format()
 
-    def __str__(self) -> str:
-        return self.format()
-
 
 class RecursivePresentation(NamedTuple):
     """A presentation whose relators arrive from a pull-based stream.
@@ -100,7 +96,7 @@ def parse_presentation(text: str) -> FinitePresentation:
     if text[gt + 1 :].strip():
         raise ParseError("unexpected text after '>'", gt + 1)
 
-    names: list[str] = []
+    names: dict[str, int] = {}  # each name with the position of its chunk
     pos = lt + 1
     for chunk in text[lt + 1 : bar].split(","):
         name = chunk.strip()
@@ -108,12 +104,14 @@ def parse_presentation(text: str) -> FinitePresentation:
             raise ParseError("empty generator name", pos)
         if name in names:
             raise ParseError(f"duplicate generator {name!r}", pos)
-        names.append(name)
+        names[name] = pos
         pos += len(chunk) + 1
-    try:
-        alphabet = Alphabet.of(*names)
-    except ValueError as e:
-        raise ParseError(str(e), lt + 1) from None
+    for name, at in names.items():
+        try:
+            Alphabet.of(name)
+        except ValueError as e:
+            raise ParseError(str(e), at) from None
+    alphabet = Alphabet(names)
 
     relators: list[Word] = []
     pos = bar + 1
@@ -200,9 +198,6 @@ class TrivialityCertificate(NamedTuple("TrivialityCertificate", [("factors", tup
             spelled += len(codes)
             factors.append(CertFactor(_word(alphabet, _reduce(codes)), rel, sign))
         return cls(tuple(factors))
-
-    def __str__(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _json_field(data: dict, key: str, kind: type, where: str):
@@ -440,10 +435,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Remainder elimination (Cohen, GTM 138, 2.4): the smallest nonzero entry of
     the trailing block moves to (k, k), and the pivot p is divided into column
-    k by row moves and into row k by column moves (row moves on V, which is
-    kept transposed).  A remainder left in row or column k is smaller than
-    |p|, so k is redone, as it is after a row holding a trailing entry p does
-    not divide is added into row k.
+    k by row moves and into row k by column moves (row moves on V, kept
+    transposed), with nearest-integer quotients (2x + p) // (2p).  A remainder
+    left in row or column k is at most |p|/2, so k is redone, as it is after a
+    row holding a trailing entry p does not divide is added into row k.
     """
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
@@ -461,11 +456,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         vt[k], vt[j] = vt[j], vt[k]
         p, mk, uk = m[k][k], m[k], u[k]
         for i in range(k + 1, rows):
-            if q := m[i][k] // p:
+            if q := (2 * m[i][k] + p) // (2 * p):
                 m[i] = [x - q * y for x, y in zip(m[i], mk)]
                 u[i] = [x - q * y for x, y in zip(u[i], uk)]
         for j in range(k + 1, cols):
-            if q := mk[j] // p:
+            if q := (2 * mk[j] + p) // (2 * p):
                 for r in m[k:]:
                     r[j] -= q * r[k]
                 vt[j] = [x - q * y for x, y in zip(vt[j], vt[k])]

@@ -30,7 +30,7 @@ from .presentations import (
     certificate_word,
     semidecide_trivial,
 )
-from .words import Alphabet, GeneratorMap, Word, _word, concat, format_word, invert, parse_word, substitute
+from .words import Alphabet, GeneratorMap, Word, _inverse, _word, format_word, invert, parse_word, substitute
 
 
 class TietzeError(ValueError):
@@ -64,13 +64,6 @@ class RemoveGenerator(NamedTuple):
 
 
 TietzeMove = AddRelator | RemoveRelator | AddGenerator | RemoveGenerator
-
-
-def _lift(word: Word, alphabet: Alphabet) -> Word:
-    """The same word over another alphabet containing its letters, each
-    letter re-encoded by its generator's name (codes are positional)."""
-    names = word.alphabet
-    return _word(alphabet, tuple(alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes))
 
 
 def _alphabet(names) -> Alphabet:
@@ -120,8 +113,9 @@ def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation
         if move.definition.alphabet != pres.generators:
             raise TietzeError("definition is not a word over the existing generators")
         new_alpha = _alphabet(pres.generators + (move.name,))
-        defining = concat(new_alpha.gen_word(move.name), invert(_lift(move.definition, new_alpha)))
-        relators = tuple(_lift(r, new_alpha) for r in pres.relators) + (defining,)
+        # the new generator goes last: old words keep their codes, and its letter cannot cancel
+        defining = _word(new_alpha, (len(new_alpha),) + _inverse(move.definition.codes))
+        relators = tuple(_word(new_alpha, r.codes) for r in pres.relators) + (defining,)
         return FinitePresentation(new_alpha, relators)
 
     if isinstance(move, RemoveGenerator):
@@ -137,8 +131,9 @@ def apply_move(pres: FinitePresentation, move: TietzeMove) -> FinitePresentation
         if code in tail.codes or -code in tail.codes:
             raise TietzeError(f"relator {move.index} uses '{move.name}' outside its leading letter")
         new_alpha = _alphabet(g for g in pres.generators if g != move.name)
-        definition = invert(_lift(tail, new_alpha))
-        images = [definition if g == move.name else new_alpha.gen_word(g) for g in pres.generators]
+        # the tail never reads the removed generator's image, so a placeholder does
+        images = [new_alpha.empty_word() if g == move.name else new_alpha.gen_word(g) for g in pres.generators]
+        images[code - 1] = invert(substitute(tail, GeneratorMap(pres.generators, new_alpha, tuple(images))))
         down = GeneratorMap(pres.generators, new_alpha, tuple(images))
         relators = tuple(
             substitute(r, down) for i, r in enumerate(pres.relators) if i != move.index
@@ -225,10 +220,6 @@ def parse_move(pres: FinitePresentation, data: dict) -> TietzeMove:
     raise ValueError(f"unknown move op: {op!r}")
 
 
-def _canonical_move_json(move: TietzeMove) -> str:
-    return json.dumps(move_to_json(move), sort_keys=True, separators=(",", ":"))
-
-
 def apply_sequence(
     pres: FinitePresentation, moves: Sequence[TietzeMove | dict]
 ) -> tuple[FinitePresentation, MoveLog]:
@@ -247,7 +238,7 @@ def apply_sequence(
         except TietzeError as e:
             raise TietzeError(e.message, step=i) from None
         after = presentation_hash(current)
-        entries.append(MoveLogEntry(_canonical_move_json(move), before, after))
+        entries.append(MoveLogEntry(json.dumps(move_to_json(move), sort_keys=True, separators=(",", ":")), before, after))
         before = after
     return current, MoveLog(tuple(entries))
 

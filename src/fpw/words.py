@@ -177,11 +177,6 @@ def concat(u: Word, v: Word) -> Word:
     return _word(u.alphabet, _join(u.codes, v.codes))
 
 
-def commutator(u: Word, v: Word) -> Word:
-    """Return the reduced commutator u v u^-1 v^-1, joining its four reduced pieces."""
-    return concat(concat(u, v), concat(invert(u), invert(v)))
-
-
 class ParseError(ValueError):
     """Malformed word text, or malformed presentation text with the words in
     it; ``position`` is where the fault is in the text the caller passed."""

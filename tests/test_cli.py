@@ -220,6 +220,18 @@ def test_subgrp_presentation(capsys):
     )
 
 
+def test_subgrp_presentation_json(capsys):
+    code, out, _ = run(
+        capsys,
+        "subgrp-presentation", "--gens", "t", "-q", "< a | >",
+        "--candidates", "400", "--budget", "60", "--json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "k": 0, "presentation": "< W1 | >", "steps": 7, "witness": {"backward": "W1=a", "forward": "a=W1"},
+    }
+
+
 def test_subgrp_presentation_exhausted(capsys):
     code, out, _ = run(
         capsys,
@@ -272,6 +284,20 @@ def test_tietze_check_valid(capsys):
     assert (code, out) == (EXIT_OK, "valid\n")
 
 
+@pytest.mark.parametrize(
+    "text, move, cert",
+    [
+        ("< x | x^2, x^4 >", {"op": "rem_rel", "index": 1}, [{"conj": "", "rel": 0, "sign": 1}] * 2),
+        ("< x | >", {"op": "add_gen", "name": "y", "definition": "x"}, None),
+    ],
+    ids=["searched-certificate", "generator-move"],
+)
+def test_tietze_check_valid_json(capsys, text, move, cert):
+    code, out, _ = run(capsys, "tietze-check", "-p", text, "--move", json.dumps(move), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"verdict": "valid", "cert": cert}
+
+
 def test_tietze_check_unverifiable(capsys):
     move = json.dumps({"op": "rem_rel", "index": 1})
     code, out, _ = run(
@@ -286,6 +312,20 @@ def test_tietze_check_invalid(capsys):
     code, out, _ = run(capsys, "tietze-check", "-p", "< x | >", "--move", move)
     assert code == EXIT_DOMAIN
     assert out.startswith("invalid:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("check-cert", "-p", "< x | x^2 >", "x", "--cert", "[" * 5000), "JSON nested too deeply"),
+        (("kernel-enum", "-i", "0", "--count", "-1"), "count must be >= 0"),
+        (("tietze-apply", "-p", "< x | x^2 >", "--moves", '{"op": "add_gen", "name": "y", "definition": "x"}'),
+         "moves must be a JSON list"),
+    ],
+    ids=["cert-nested", "kernel-enum-count", "moves-not-a-list"],
+)
+def test_rejected_input_in_process(capsys, argv, message):
+    assert run(capsys, *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -70,22 +70,28 @@ def test_parse_multiple_relators_and_spacing():
     )
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "s, t | s^2 >",
-        "< s, t  s^2 >",
-        "< s, t | s^2",
-        "< s, s | >",
-        "< s t | >",
-        "< s | q >",
-        "< s | s = t >",
-    ],
-)
-def test_parse_errors(text):
+_PARSE_ERRORS = [
+    ("s, t | s^2 >", "expected '<' at position 0"),
+    ("< s, t  s^2 >", "expected '|' at position 13"),
+    ("< s, t | s^2", "expected '>' at position 12"),
+    ("< s, s | >", "duplicate generator 's' at position 4"),
+    ("< s t | >", "invalid generator name: 's t' at position 1"),
+    ("< s | q >", "unknown generator 'q' at position 6"),
+    ("< s | s = t >", "unknown generator 't' at position 10"),
+    # a bad name is reported at its own chunk, as empty and duplicate names are
+    ("< a, b, c^ | a >", "invalid generator name: 'c^' at position 7"),
+    ("< a,b,c^ | a >", "invalid generator name: 'c^' at position 6"),
+    ("< x | x > y", "unexpected text after '>' at position 9"),
+    ("< x, | x >", "empty generator name at position 4"),
+    ("< x | x = x = x >", "more than one '=' in relator at position 5"),
+]
+
+
+@pytest.mark.parametrize("text, message", _PARSE_ERRORS, ids=[text for text, _ in _PARSE_ERRORS])
+def test_parse_errors(text, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
-    assert err.value.position >= 0
+    assert str(err.value) == message
 
 
 def test_parse_equation_with_empty_side():
@@ -216,6 +222,34 @@ def test_certificate_rejects_bad_sign_and_index():
         TrivialityCertificate((CertFactor(xw(""), 0, 2),))
     with pytest.raises(ValueError):
         TrivialityCertificate((CertFactor(xw(""), -2, 1),))
+
+
+# arguments each public entry point refuses, with the message it gives
+_X2 = parse_presentation("< x | x^2 >")
+_REJECTED = {
+    "from-json-not-a-list": (lambda: TrivialityCertificate.from_json(_X2.generators, {"conj": ""}),
+                             "certificate must be a JSON list of factors"),
+    "from-json-factor-not-an-object": (lambda: TrivialityCertificate.from_json(_X2.generators, [1]),
+                                       "certificate factor 0 must be an object"),
+    "from-json-ill-typed-field": (
+        lambda: TrivialityCertificate.from_json(_X2.generators, [{"conj": "", "rel": 0, "sign": True}]),
+        "certificate factor 0: field 'sign' is missing or not a JSON integer"),
+    "foreign-conjugator": (lambda: certificate_word(_X2, TrivialityCertificate((CertFactor(w("t"), 0, 1),))),
+                           "conjugator is not a word over the presentation's generators"),
+    "semidecide-negative-budget": (lambda: semidecide_trivial(_X2, xw("x"), -1), "budget must be >= 0"),
+    "semidecide-foreign-word": (lambda: semidecide_trivial(_X2, w("t"), 10),
+                                "word is not over the presentation's generators"),
+    "from-rows-empty": (lambda: IntMatrix.from_rows([]), "cannot infer column count from an empty row list"),
+    "exponent-vector-foreign": (lambda: exponent_vector(_X2.generators, w("t")),
+                                "word is not over the given alphabet"),
+}
+
+
+@pytest.mark.parametrize("call, message", _REJECTED.values(), ids=_REJECTED)
+def test_rejected_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_certificate_json_roundtrip():

@@ -24,7 +24,6 @@ from fpw.presentations import (
     certificate_word,
     parse_presentation,
     trivial_word_stream,
-    _compositions,
     _emissions,
 )
 from fpw.words import Alphabet, format_word, invert, parse_word, _inverse, _reduce
@@ -68,7 +67,8 @@ def _reference_emissions(pres):
             rest = size - n
             for max_idx in range(0, min(rest, len(rels) - 1) + 1):
                 conj_total = rest - max_idx
-                for comp in _compositions(conj_total, n):
+                # conjugator lengths, lex ascending, enumerated apart from fpw's _compositions
+                for comp in [c for c in itertools.product(range(conj_total + 1), repeat=n) if sum(c) == conj_total]:
                     for ln in comp:
                         if ln not in levels:
                             levels[ln] = [(c, c.codes, _inverse(c.codes)) for c in table.of_length(ln)]

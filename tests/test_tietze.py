@@ -2,9 +2,11 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from fpw.presentations import (
     CertFactor,
+    FinitePresentation,
     TrivialityCertificate,
     certificate_word,
     parse_presentation,
@@ -26,7 +28,7 @@ from fpw.tietze import (
     parse_move,
     presentation_hash,
 )
-from fpw.words import Alphabet, parse_word
+from fpw.words import Alphabet, GeneratorMap, _reduce, _word, concat, invert, parse_word, substitute
 
 
 X2 = parse_presentation("< x | x^2 >")
@@ -60,6 +62,17 @@ def test_add_then_remove_is_identity():
 def test_add_relator_requires_certificate():
     with pytest.raises(TietzeError, match="requires a triviality certificate"):
         apply_move(X2, AddRelator(xw("x^4"), None))
+
+
+def test_remove_relator_requires_certificate():
+    with pytest.raises(TietzeError, match="removing a relator requires a derivation certificate"):
+        apply_move(X2, RemoveRelator(0, None))
+
+
+@pytest.mark.parametrize("call", [lambda move: apply_move(X2, move), move_to_json], ids=["apply_move", "move_to_json"])
+def test_a_non_move_is_a_type_error(call):
+    with pytest.raises(TypeError, match="not a Tietze move: 'x'"):
+        call("x")
 
 
 def test_add_relator_rejects_wrong_certificate():
@@ -191,6 +204,54 @@ def test_remove_middle_generator_reencodes_the_rest():
     result = apply_move(pres, RemoveGenerator("b", 0))
     assert result.format() == "< a, c | a c a^-1 c >"
 
+
+# The generator moves as they were when every letter was re-encoded by its
+# generator's name: the oracle of apply_move's generator branches.
+def _lift(word, alphabet):
+    names = word.alphabet
+    return _word(alphabet, tuple(alphabet.code(names[abs(c) - 1]) * (1 if c > 0 else -1) for c in word.codes))
+
+
+def _lifted_generator_move(pres, move):
+    if isinstance(move, AddGenerator):
+        new_alpha = Alphabet(pres.generators + (move.name,))
+        defining = concat(new_alpha.gen_word(move.name), invert(_lift(move.definition, new_alpha)))
+        return FinitePresentation(new_alpha, tuple(_lift(r, new_alpha) for r in pres.relators) + (defining,))
+    tail = _word(pres.generators, pres.relators[move.index].codes[1:])
+    new_alpha = Alphabet(g for g in pres.generators if g != move.name)
+    definition = invert(_lift(tail, new_alpha))
+    images = [definition if g == move.name else new_alpha.gen_word(g) for g in pres.generators]
+    down = GeneratorMap(pres.generators, new_alpha, tuple(images))
+    relators = tuple(substitute(r, down) for i, r in enumerate(pres.relators) if i != move.index)
+    return FinitePresentation(new_alpha, relators)
+
+
+@st_.composite
+def _valid_generator_moves(draw):
+    """A presentation on 1-3 generators and a generator move valid on it."""
+    names = draw(st_.permutations(["a", "b", "c", "d"]))
+    alphabet = Alphabet(names[: draw(st_.integers(1, 3))])
+    gens = len(alphabet)
+
+    def word(codes):
+        return _word(alphabet, _reduce(draw(st_.lists(st_.sampled_from(codes), max_size=8))))
+
+    every = [c for i in range(1, gens + 1) for c in (i, -i)]
+    relators = [word(every) for _ in range(draw(st_.integers(0, 4)))]
+    if gens == 1 or draw(st_.booleans()):
+        return FinitePresentation(alphabet, tuple(relators)), AddGenerator(names[gens], word(every))
+    code = draw(st_.integers(1, gens))
+    defining = _word(alphabet, (code,) + word([c for c in every if abs(c) != code]).codes)
+    index = draw(st_.integers(0, len(relators)))
+    relators.insert(index, defining)
+    return FinitePresentation(alphabet, tuple(relators)), RemoveGenerator(alphabet[code - 1], index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_generator_moves())
+def test_generator_moves_match_the_name_lifting_oracle(case):
+    pres, move = case
+    assert apply_move(pres, move) == _lifted_generator_move(pres, move)
 
 
 # a generator move whose alphabet would be invalid: a move that leaves it
