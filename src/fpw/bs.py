@@ -1,9 +1,10 @@
 """The groups BS(m,n) = < s, t | s^-1 t^m s = t^n > and their word problem.
 
-Words over the alphabet ST = {s, t}, and no other, are read into syllable
-form t^{a0} s^{e1} t^{a1} ... s^{ek} t^{ak} with arbitrary-precision
-t-exponents.  Britton reduction rewrites pinches, leftmost first, in one
-left-to-right stack pass:
+Words over the alphabet ST = {s, t}, and no other, are read letter by letter
+in one left-to-right stack pass that keeps the syllable form
+t^{a0} s^{e1} t^{a1} ... s^{ek} t^{ak}, with arbitrary-precision
+t-exponents, and rewrites each pinch, leftmost first, as its closing s-letter
+arrives:
 
     s^-1 t^k s  ->  t^(k n / m)   when m | k
     s    t^k s^-1 -> t^(k m / n)  when n | k
@@ -14,6 +15,8 @@ what makes this a decision procedure rather than a semi-decision.
 
 from __future__ import annotations
 
+import sys
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .presentations import FinitePresentation
@@ -47,64 +50,58 @@ BS23 = BSParams(2, 3)
 
 
 class SyllableWord(NamedTuple):
-    """The output record t_runs[0] s^{s_signs[0]} t_runs[1] ... t_runs[k] of ``to_syllables`` and the solver."""
+    """The solver's output record t_runs[0] s^{s_signs[0]} t_runs[1] ... t_runs[k]."""
 
     t_runs: tuple[int, ...]
     s_signs: tuple[int, ...]
 
     def format(self) -> str:
-        parts = [f"t^{self.t_runs[0]}"]
-        for e, a in zip(self.s_signs, self.t_runs[1:]):
-            parts.append(f"s^{e}")
-            parts.append(f"t^{a}")
-        return " ".join(parts)
+        """The record as text; a t-exponent past Python's int-to-str digit limit raises ValueError."""
+        try:
+            return " ".join([f"t^{self.t_runs[0]}", *(f"s^{e} t^{a}" for e, a in zip(self.s_signs, self.t_runs[1:]))])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"normal form has a t-exponent of more than {limit} digits") from None
 
 
-def _pinch(runs, signs, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Rewrite the pinches of BS(m,n), leftmost first, in one stack pass; count them.
-
-    The stack holds no pinch, so a pushed s-letter can only close the leftmost
-    one, with the stack top.  A zero run pinches under the same rule.
-    """
-    out_runs, out_signs, pinches = [runs[0]], [], 0
-    for e, a in zip(signs, runs[1:]):
-        if out_signs and out_signs[-1] == -e:
-            k = out_runs[-1]
-            div, mul = (m, n) if e == 1 else (n, m)
-            if k % div == 0:
-                out_signs.pop()
-                out_runs.pop()
-                out_runs[-1] += k // div * mul + a
-                pinches += 1
-                continue
-        out_signs.append(e)
-        out_runs.append(a)
-    return tuple(out_runs), tuple(out_signs), pinches
-
-
-def to_syllables(w: Word) -> SyllableWord:
-    """Read a word over ST = {s, t} into syllable form: s is code 1, t code 2."""
+def _st_codes(w: Word) -> tuple[int, ...]:
+    """The letter codes of a word over ST = {s, t} exactly: s is code 1, t code 2."""
     if w.alphabet != ST:
         raise ValueError("word is not over the alphabet {s, t}")
-    runs, signs = [0], []
-    for c in w.codes:
+    return w.codes
+
+
+def _pinch(codes, m: int, n: int, t_weight: int = 1) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Read letter codes into syllables, each t-letter worth t_weight t's, and
+    rewrite the pinches of BS(m,n), leftmost first, in the same stack pass;
+    count them.
+
+    The t-letters since the last s-letter are counted in a small int, ``a``,
+    and added to the top run, ``top``, kept off the stack, once: a big
+    t_weight costs one product per run.  The stack holds no pinch, so an
+    s-letter can only close the leftmost one, with the top run; a zero run
+    pinches too.
+    """
+    runs, signs, pinches, top, a = [], [], 0, 0, 0
+    for c in codes:
         if c == 2:
-            runs[-1] += 1
+            a += 1
         elif c == -2:
-            runs[-1] -= 1
+            a -= 1
         else:
-            signs.append(c)
-            runs.append(0)
-    return SyllableWord(tuple(runs), tuple(signs))
-
-
-def from_syllables(sw: SyllableWord) -> Word:
-    s, t = ST.code("s"), ST.code("t")
-    codes = [t if sw.t_runs[0] > 0 else -t] * abs(sw.t_runs[0])
-    for e, a in zip(sw.s_signs, sw.t_runs[1:]):
-        codes.append(s * e)
-        codes += [t if a > 0 else -t] * abs(a)
-    return _word(ST, tuple(codes))
+            if a:
+                top += a * t_weight
+                a = 0
+            if signs and signs[-1] == -c and top % (m if c == 1 else n) == 0:
+                signs.pop()
+                top = runs.pop() + (top // m * n if c == 1 else top // n * m)
+                pinches += 1
+            else:
+                runs.append(top)
+                signs.append(c)
+                top = 0
+    runs.append(top + a * t_weight)
+    return tuple(runs), tuple(signs), pinches
 
 
 def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int]:
@@ -113,7 +110,7 @@ def britton_reduce_counted(params: BSParams, w: Word) -> tuple[SyllableWord, int
     Each pinch removes exactly two s-letters and nothing else removes any, so
     the count always equals (initial s-count - final s-count) / 2.
     """
-    runs, signs, pinches = _pinch(*to_syllables(w), params.m, params.n)
+    runs, signs, pinches = _pinch(_st_codes(w), params.m, params.n)
     return SyllableWord(runs, signs), pinches
 
 
@@ -123,7 +120,7 @@ def bs_is_trivial(params: BSParams, w: Word) -> bool:
     A Britton-reduced word with an s-letter is never trivial, and t has
     infinite order, so triviality means reducing all the way to t^0.
     """
-    return _pinch(*to_syllables(w), params.m, params.n)[0] == (0,)
+    return _pinch(_st_codes(w), params.m, params.n)[0] == (0,)
 
 
 def bs_equal(params: BSParams, u: Word, v: Word) -> bool:
@@ -141,24 +138,20 @@ def doubling_map() -> GeneratorMap:
     return GeneratorMap.parse(ST, ST, "s=s,t=t^2")
 
 
-def _doubled(w: Word, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The runs and signs of f^i(w): f^i fixes s and multiplies every t-run by 2^i."""
-    if i < 0:
-        raise ValueError("iterate must be >= 0")
-    sw = to_syllables(w)
-    return tuple(a << i for a in sw.t_runs), sw.s_signs
-
-
 def apply_f(w: Word, i: int) -> Word:
     """Apply the doubling substitution i times: s -> s, t -> t^(2^i).
 
     Raises ValueError, before spelling out, past MAX_WORD_LETTERS letters.
     """
-    # scaling by 2^min(i, cap's bit length) gives f^i(w) exactly or puts one t over the cap
-    runs, signs = _doubled(w, min(i, MAX_WORD_LETTERS.bit_length()))
-    if len(signs) + sum(map(abs, runs)) > MAX_WORD_LETTERS:
+    if i < 0:
+        raise ValueError("iterate must be >= 0")
+    codes = _st_codes(w)
+    # repeating each t by 2^min(i, cap's bit length) gives f^i(w) exactly or puts one t over the cap
+    scale = 1 << min(i, MAX_WORD_LETTERS.bit_length())
+    if len(codes) + (codes.count(2) + codes.count(-2)) * (scale - 1) > MAX_WORD_LETTERS:
         raise ValueError(f"f^{i}(w) would have more than {MAX_WORD_LETTERS} letters")
-    return from_syllables(SyllableWord(runs, signs))
+    spelled = {1: (1,), -1: (-1,), 2: (2,) * scale, -2: (-2,) * scale}
+    return _word(ST, tuple(chain.from_iterable(map(spelled.__getitem__, codes))))
 
 
 def in_kernel(w: Word, i: int) -> bool:
@@ -171,11 +164,11 @@ def in_kernel(w: Word, i: int) -> bool:
     2^c, so for i >= c every divisibility-by-2 test passes, while tests for
     zero and for divisibility by 3 do not change under scaling by 2.
     """
-    s = ST.code("s")
-    up, down = w.codes.count(s), w.codes.count(-s)
-    if up != down and i >= 0 and w.alphabet == ST:
-        return False
-    return _pinch(*_doubled(w, min(i, up + down)), BS23.m, BS23.n)[0] == (0,)
+    if i < 0:
+        raise ValueError("iterate must be >= 0")
+    codes = _st_codes(w)
+    up, down = codes.count(1), codes.count(-1)
+    return up == down and _pinch(codes, BS23.m, BS23.n, 1 << min(i, up + down))[0] == (0,)
 
 
 def f_preimage_witnesses() -> GeneratorMap:

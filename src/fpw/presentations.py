@@ -96,7 +96,7 @@ def parse_presentation(text: str) -> FinitePresentation:
     if text[gt + 1 :].strip():
         raise ParseError("unexpected text after '>'", gt + 1)
 
-    names: dict[str, int] = {}  # each name with the position of its chunk
+    names: dict[str, None] = {}  # an ordered set
     pos = lt + 1
     for chunk in text[lt + 1 : bar].split(","):
         name = chunk.strip()
@@ -104,13 +104,12 @@ def parse_presentation(text: str) -> FinitePresentation:
             raise ParseError("empty generator name", pos)
         if name in names:
             raise ParseError(f"duplicate generator {name!r}", pos)
-        names[name] = pos
-        pos += len(chunk) + 1
-    for name, at in names.items():
         try:
             Alphabet.of(name)
         except ValueError as e:
-            raise ParseError(str(e), at) from None
+            raise ParseError(str(e), pos) from None
+        names[name] = None
+        pos += len(chunk) + 1
     alphabet = Alphabet(names)
 
     relators: list[Word] = []

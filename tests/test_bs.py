@@ -10,7 +10,6 @@ from fpw.bs import (
     BSParams,
     BS23,
     SyllableWord,
-    _doubled,
     _pinch,
     apply_f,
     bs_equal,
@@ -19,9 +18,7 @@ from fpw.bs import (
     britton_reduce_counted,
     doubling_map,
     f_preimage_witnesses,
-    from_syllables,
     kernel_stream,
-    to_syllables,
     in_kernel,
     w_family,
 )
@@ -36,36 +33,42 @@ W2_TEXT = "s^-2 t s^2 t^-1 s^-1 t s^-1 t^-1 s^2 t s^-1 t^-1 s"
 # ---------------------------------------------------------------- syllables
 
 
-def test_to_syllables_examples():
-    sw = to_syllables(w("t^3 s t^-1 s^2"))
-    assert sw.t_runs == (3, -1, 0, 0)
-    assert sw.s_signs == (1, 1, 1)
-    assert to_syllables(w("")) == SyllableWord((0,), ())
-    assert to_syllables(w("t^-2")) == SyllableWord((-2,), ())
-    assert to_syllables(w("s")) == SyllableWord((0, 0), (1,))
+def test_syllable_reading_examples():
+    # words without a pinch come back as their own syllables
+    assert britton_reduce_counted(BS23, w("t^3 s t^-1 s^2")) == (SyllableWord((3, -1, 0, 0), (1, 1, 1)), 0)
+    assert britton_reduce_counted(BS23, w("")) == (SyllableWord((0,), ()), 0)
+    assert britton_reduce_counted(BS23, w("t^-2")) == (SyllableWord((-2,), ()), 0)
+    assert britton_reduce_counted(BS23, w("s")) == (SyllableWord((0, 0), (1,)), 0)
 
 
 def test_syllable_format():
-    assert to_syllables(w("t^2 s^-1 t")).format() == "t^2 s^-1 t^1"
-    assert to_syllables(w("")).format() == "t^0"
+    assert SyllableWord((2, 1), (-1,)).format() == "t^2 s^-1 t^1"
+    assert SyllableWord((0,), ()).format() == "t^0"
 
 
 def test_syllable_roundtrip_examples():
+    # spelling a word back out: f^0 is the identity
     for text in ["", "t^5", "s t s^-1", "s^-1 t^2 s t^-3", W2_TEXT]:
         word = w(text)
-        assert from_syllables(to_syllables(word)) == word
+        assert apply_f(word, 0) == word
 
 
 @settings(max_examples=200, deadline=None)
 @given(st_.lists(st_.sampled_from(["s", "s^-1", "t", "t^-1"]), max_size=25))
 def test_syllable_roundtrip_random(parts):
     word = w(" ".join(parts))
-    assert from_syllables(to_syllables(word)) == word
+    assert apply_f(word, 0) == word
 
 
 def test_syllables_reject_foreign_alphabet():
-    with pytest.raises(ValueError):
-        to_syllables(parse_word(Alphabet.of("x"), "x"))
+    word = parse_word(Alphabet.of("x"), "x")
+    for call in (lambda: in_kernel(word, 2), lambda: apply_f(word, 2)):
+        with pytest.raises(ValueError, match=r"not over the alphabet \{s, t\}"):
+            call()
+    # a negative iterate is reported before the alphabet
+    for call in (lambda: in_kernel(word, -1), lambda: apply_f(word, -1)):
+        with pytest.raises(ValueError, match="iterate must be >= 0"):
+            call()
 
 
 # ---------------------------------------------------------------- Britton reduction
@@ -76,34 +79,33 @@ def test_britton_reduce_kills_the_relator():
 
 
 def test_britton_reduce_leaves_reduced_words_alone():
-    word = w("s^-1 t s")
-    reduced, pinches = britton_reduce_counted(BS23, word)
-    assert from_syllables(reduced) == word
+    reduced, pinches = britton_reduce_counted(BS23, w("s^-1 t s"))
+    assert reduced == SyllableWord((0, 1, 0), (-1, 1))
     assert pinches == 0
 
 
 def test_britton_reduce_single_pinch():
     reduced, pinches = britton_reduce_counted(BS23, w("s t^3 s^-1"))
-    assert from_syllables(reduced) == w("t^2")
+    assert reduced == SyllableWord((2,), ())
     assert pinches == 1
 
 
 def test_britton_reduce_zero_power_pinch():
     # opposite-sign s letters with nothing between them count as a pinch
     reduced, pinches = britton_reduce_counted(BS23, w("s t t^-1 s^-1 t"))
-    assert from_syllables(reduced) == w("t")
+    assert reduced == SyllableWord((1,), ())
 
 
 def test_britton_reduce_nested():
     word = w("s^2 t^9 s^-2")
     reduced, pinches = britton_reduce_counted(BS23, word)
-    assert from_syllables(reduced) == w("t^4")
+    assert reduced == SyllableWord((4,), ())
     assert pinches == 2
 
 
 def test_britton_reduce_two_disjoint_sites():
     reduced, pinches = britton_reduce_counted(BS23, w("s^-1 t^2 s t s^-1 t^2 s"))
-    assert from_syllables(reduced) == w("t^7")
+    assert reduced == SyllableWord((7,), ())
     assert pinches == 2
 
 
@@ -121,6 +123,69 @@ def test_pinch_count_accounts_for_all_lost_s_letters():
 def test_britton_reduce_rejects_foreign_alphabet():
     with pytest.raises(ValueError):
         britton_reduce_counted(BS23, parse_word(Alphabet.of("x"), "x"))
+
+
+# The reader and the syllable stack pass that the letter stack pass replaced,
+# kept as the oracle: the word is read into syllables first, and each pinch
+# adds the run after it at once.
+
+
+def _old_to_syllables(word):
+    runs, signs = [0], []
+    for c in word.codes:
+        if c == 2:
+            runs[-1] += 1
+        elif c == -2:
+            runs[-1] -= 1
+        else:
+            signs.append(c)
+            runs.append(0)
+    return tuple(runs), tuple(signs)
+
+
+def _old_pinch(runs, signs, m, n):
+    out_runs, out_signs, pinches = [runs[0]], [], 0
+    for e, a in zip(signs, runs[1:]):
+        if out_signs and out_signs[-1] == -e:
+            k = out_runs[-1]
+            div, mul = (m, n) if e == 1 else (n, m)
+            if k % div == 0:
+                out_signs.pop()
+                out_runs.pop()
+                out_runs[-1] += k // div * mul + a
+                pinches += 1
+                continue
+        out_signs.append(e)
+        out_runs.append(a)
+    return tuple(out_runs), tuple(out_signs), pinches
+
+
+# small multiples of 2 and 3 make pinches, and pinches that cancel to zero runs, frequent
+_RUNS = st_.one_of(st_.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6]), st_.integers(-12, 12))
+_SYLLABLES = st_.lists(st_.tuples(st_.sampled_from([1, -1]), _RUNS), max_size=30)
+_PARAMS = st_.sampled_from([(2, 3), (1, 3), (3, 1), (1, 1), (1, 2), (2, 4), (3, 3), (3, 2)])
+
+
+def _syllable_word(head, syllables):
+    parts = [f"t^{head}"] if head else []
+    for e, a in syllables:
+        parts += [f"s^{e}", f"t^{a}"] if a else [f"s^{e}"]
+    return w(" ".join(parts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PARAMS, _RUNS, _SYLLABLES, st_.integers(0, 6))
+@example((2, 3), 0, [(-1, 1), (-1, 2), (1, -4), (1, 0)], 0)  # a pinch leaves a zero run that pinches
+@example((3, 1), 0, [(1, 3), (-1, 0)], 0)  # s t^3 s^-1 pinches by the s^-1 rule
+def test_letter_stack_pass_matches_the_syllable_stack_pass(mn, head, syllables, i):
+    m, n = mn
+    word = _syllable_word(head, syllables)
+    runs, signs = _old_to_syllables(word)
+    out_runs, out_signs, pinches = _old_pinch(tuple(a << i for a in runs), signs, m, n)
+    assert _pinch(word.codes, m, n, 1 << i) == (out_runs, out_signs, pinches)
+    if i == 0:
+        assert britton_reduce_counted(BSParams(m, n), word) == ((out_runs, out_signs), pinches)
+        assert bs_is_trivial(BSParams(m, n), word) == (out_runs == (0,))
 
 
 # The leftmost-first rewriting that the stack pass replaced, kept as the
@@ -164,30 +229,18 @@ def _reference_britton(params, runs, signs):
     return tuple(runs), tuple(signs), pinches
 
 
-# small multiples of 2 and 3 make pinches, and pinches that cancel to zero runs, frequent
-_RUNS = st_.one_of(st_.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6]), st_.integers(-12, 12))
-_SYLLABLES = st_.lists(st_.tuples(st_.sampled_from([1, -1]), _RUNS), max_size=30)
-
-
 @settings(max_examples=300, deadline=None)
-@given(
-    st_.sampled_from([(2, 3), (1, 1), (1, 2), (2, 4), (3, 3), (3, 2)]),
-    _RUNS,
-    _SYLLABLES,
-)
+@given(_PARAMS, _RUNS, _SYLLABLES)
 @example((2, 3), 0, [(-1, 1), (-1, 2), (1, -4), (1, 0)])  # a pinch leaves a zero run that pinches
 def test_stack_pass_matches_leftmost_first_reference(mn, head, syllables):
     params = BSParams(*mn)
-    parts = [f"t^{head}"] if head else []
-    for e, a in syllables:
-        parts += [f"s^{e}", f"t^{a}"] if a else [f"s^{e}"]
-    word = w(" ".join(parts))
-    raw = to_syllables(word)
+    word = _syllable_word(head, syllables)
+    runs, signs = _old_to_syllables(word)
     reduced, pinches = britton_reduce_counted(params, word)
-    expected = _reference_britton(params, raw.t_runs, raw.s_signs)
+    expected = _reference_britton(params, runs, signs)
     assert (reduced.t_runs, reduced.s_signs, pinches) == expected
     # a reduced word's syllables need no free cancellation, so none is run
-    assert _reference_normalize(list(raw.t_runs), list(raw.s_signs)) == (list(raw.t_runs), list(raw.s_signs))
+    assert _reference_normalize(list(runs), list(signs)) == (list(runs), list(signs))
 
 
 # ---------------------------------------------------------------- triviality and equality
@@ -280,14 +333,13 @@ def test_apply_f_rejects_negative_iterate():
 
 @pytest.mark.parametrize("i", [0, 1, 5])
 def test_doubling_rejects_words_not_over_st(i):
-    # one alphabet rule: the reader takes words over ST exactly, so a
+    # one alphabet rule: every entry point takes words over ST exactly, so a
     # sub-alphabet or the same letters in another order is refused everywhere
     for alphabet in (Alphabet.of("t"), Alphabet.of("t", "s")):
         word = parse_word(alphabet, " ".join(alphabet.names()))
         for call in (
             lambda: apply_f(word, i),
             lambda: tower_oracle(i)(word),
-            lambda: to_syllables(word),
             lambda: britton_reduce_counted(BS23, word),
             lambda: bs_is_trivial(BS23, word),
             lambda: bs_equal(BS23, word, word),
@@ -399,14 +451,14 @@ def test_kernel_truth_table(i, j):
 def _unclamped_in_kernel(word, i):
     """f^i(w) trivial in BS(2,3), by the stack pass on runs scaled by 2^i,
     with neither the s-sum shortcut nor the level clamp; the oracle."""
-    return _pinch(*_doubled(word, i), BS23.m, BS23.n)[0] == (0,)
+    return _pinch(word.codes, BS23.m, BS23.n, 1 << i)[0] == (0,)
 
 
 def test_level_clamp_matches_the_unclamped_predicate():
     # in_kernel(w, i) == in_kernel(w, min(i, c)) for c the number of s-letters
     for index in range(3000):
         word = shortlex_word(ST, index)
-        c = len(to_syllables(word).s_signs)
+        c = word.codes.count(1) + word.codes.count(-1)
         for i in (c, c + 1, c + 3):
             assert in_kernel(word, i) == _unclamped_in_kernel(word, i)
 
@@ -424,6 +476,15 @@ def test_tower_oracle_answers_at_huge_levels_at_once():
     assert not oracle(w("t"))
     assert oracle(w_family(2))
     assert time.perf_counter() - start < 0.1
+
+
+def test_in_kernel_weighs_each_t_run_once():
+    # a 100,000-letter run at level 200,000: one product of a 200,000-bit
+    # weight, not 100,000 additions of it
+    word = parse_word(ST, "s^100000 t^100000 s^-100000")
+    start = time.perf_counter()
+    assert not in_kernel(word, 10**9)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_tower_oracle_levels_on_the_witness_family():

@@ -76,6 +76,15 @@ def test_bs_reduce_json(capsys):
     assert json.loads(out) == {"normal_form": "t^2", "pinches": 1}
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_bs_reduce_past_the_int_to_str_digit_limit(capsys, mode):
+    # in BS(1,3) the normal form is t^(3^10000), which has 4772 digits
+    code, out, err = run(capsys, "bs-reduce", "-m", "1", "-n", "3", "s^-10000 t s^10000", *mode)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: normal form has a t-exponent of more than {sys.get_int_max_str_digits()} digits\n"
+    assert "set_int_max_str_digits" not in err
+
+
 def test_apply_f(capsys):
     code, out, _ = run(capsys, "apply-f", "t", "-i", "3")
     assert (code, out) == (EXIT_OK, "t^8\n")

@@ -84,6 +84,9 @@ _PARSE_ERRORS = [
     ("< x | x > y", "unexpected text after '>' at position 9"),
     ("< x, | x >", "empty generator name at position 4"),
     ("< x | x = x = x >", "more than one '=' in relator at position 5"),
+    # generator faults are reported leftmost first, whatever their kind
+    ("< a^, , b | >", "invalid generator name: 'a^' at position 1"),
+    ("< a^, a^ | >", "invalid generator name: 'a^' at position 1"),
 ]
 
 
