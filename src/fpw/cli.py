@@ -42,6 +42,7 @@ from .harness import (
     tower_oracle,
 )
 from .presentations import (
+    Exhausted,
     TrivialityCertificate,
     abelianization_invariants,
     certificate_word,
@@ -50,10 +51,8 @@ from .presentations import (
     trivial_word_stream,
 )
 from .search import (
-    Found,
     Proved,
     SearchBudget,
-    SubgroupFound,
     decide_homomorphism,
     iso_search,
     semidecide_homomorphism,
@@ -111,8 +110,21 @@ def _load_presentation(text: str):
     return parse_presentation(Path(text).read_text())
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _show(args, payload, lines) -> int:
+    """A success: ``payload`` as one sorted JSON line under ``--json``, else
+    each of ``lines``."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK
+
+
+def _spent(outcome: Exhausted, unit: str) -> int:
+    """A search that ran out of budget: what it spent, and its exit code."""
+    print(f"exhausted after {outcome.steps} {unit}")
+    return EXIT_BUDGET
 
 
 # ---------------------------------------------------------------- words
@@ -144,12 +156,8 @@ def _cmd_bs_equal(args) -> int:
 def _cmd_bs_reduce(args) -> int:
     w = parse_word(ST, args.word)
     sw, pinches = britton_reduce_counted(_params(args), w)
-    if args.json:
-        _print_json({"normal_form": sw.format(), "pinches": pinches})
-    else:
-        print(sw.format())
-        print(f"pinches: {pinches}")
-    return EXIT_OK
+    normal_form = sw.format()
+    return _show(args, {"normal_form": normal_form, "pinches": pinches}, [normal_form, f"pinches: {pinches}"])
 
 
 def _cmd_apply_f(args) -> int:
@@ -178,13 +186,11 @@ def _cmd_enum_trivial(args) -> int:
     if args.count < 0:
         raise ValueError("count must be >= 0")
     pres = _load_presentation(args.presentation)
-    emitted = list(itertools.islice(trivial_word_stream(pres), args.count))
-    if args.json:
-        _print_json([{"word": format_word(w), "cert": c.to_json()} for w, c in emitted])
-    else:
-        for w, _ in emitted:
-            print(format_word(w))
-    return EXIT_OK
+    emitted = itertools.islice(trivial_word_stream(pres), args.count)
+    # the certificates' JSON grows with --count, so text mode never builds it
+    # and prints each word as it is emitted
+    payload = [{"word": format_word(w), "cert": c.to_json()} for w, c in emitted] if args.json else None
+    return _show(args, payload, (format_word(w) for w, _ in emitted))
 
 
 def _cmd_check_cert(args) -> int:
@@ -202,12 +208,11 @@ def _cmd_check_cert(args) -> int:
 def _cmd_abelian(args) -> int:
     pres = _load_presentation(args.presentation)
     rank, torsion = abelianization_invariants(pres)
-    if args.json:
-        _print_json({"free_rank": rank, "torsion": list(torsion)})
-    else:
-        print(f"free rank: {rank}")
-        print("torsion: " + (", ".join(str(d) for d in torsion) if torsion else "none"))
-    return EXIT_OK
+    return _show(
+        args,
+        {"free_rank": rank, "torsion": list(torsion)},
+        [f"free rank: {rank}", "torsion: " + (", ".join(map(str, torsion)) or "none")],
+    )
 
 
 def _cmd_perfect(args) -> int:
@@ -224,11 +229,10 @@ def _cmd_hom_check(args) -> int:
     cod = _load_presentation(args.codomain)
     phi = GeneratorMap.parse(dom.generators, cod.generators, args.map)
     outcome = semidecide_homomorphism(phi, dom, cod, args.budget)
-    if isinstance(outcome, Proved):
-        print(f"proved in {outcome.steps} steps")
-        return EXIT_OK
-    print(f"exhausted after {outcome.steps} steps")
-    return EXIT_BUDGET
+    if isinstance(outcome, Exhausted):
+        return _spent(outcome, "steps")
+    print(f"proved in {outcome.steps} steps")
+    return EXIT_OK
 
 
 def _cmd_hom_decide(args) -> int:
@@ -245,22 +249,15 @@ def _cmd_iso_search(args) -> int:
     right = _load_presentation(args.codomain)
     budget = SearchBudget(args.candidates, args.budget)
     outcome = iso_search(left, right, budget)
-    if isinstance(outcome, Found):
-        if args.json:
-            _print_json(
-                {
-                    "pair": outcome.pair_index,
-                    "steps": outcome.steps,
-                    "witness": outcome.witness.to_json(),
-                }
-            )
-        else:
-            print(f"found: pair {outcome.pair_index} after {outcome.steps} steps")
-            print(f"forward: {outcome.witness.forward.format()}")
-            print(f"backward: {outcome.witness.backward.format()}")
-        return EXIT_OK
-    print(f"exhausted after {outcome.steps} units")
-    return EXIT_BUDGET
+    if isinstance(outcome, Exhausted):
+        return _spent(outcome, "units")
+    pair, steps, w = outcome.pair_index, outcome.steps, outcome.witness
+    return _show(
+        args,
+        {"pair": pair, "steps": steps, "witness": w.to_json()},
+        [f"found: pair {pair} after {steps} steps", f"forward: {w.forward.format()}",
+         f"backward: {w.backward.format()}"],
+    )
 
 
 def _cmd_subgrp(args) -> int:
@@ -272,24 +269,15 @@ def _cmd_subgrp(args) -> int:
     outcome = subgroup_presentation_search(
         parent, lambda w: bs_is_trivial(params, w), gens, target, budget
     )
-    if isinstance(outcome, SubgroupFound):
-        if args.json:
-            _print_json(
-                {
-                    "k": outcome.k,
-                    "steps": outcome.steps,
-                    "presentation": outcome.presentation.format(),
-                    "witness": outcome.witness.to_json(),
-                }
-            )
-        else:
-            print(f"found: k={outcome.k} after {outcome.steps} units")
-            print(f"presentation: {outcome.presentation.format()}")
-            print(f"to-subgroup: {outcome.witness.forward.format()}")
-            print(f"from-subgroup: {outcome.witness.backward.format()}")
-        return EXIT_OK
-    print(f"exhausted after {outcome.steps} units")
-    return EXIT_BUDGET
+    if isinstance(outcome, Exhausted):
+        return _spent(outcome, "units")
+    k, steps, w, text = outcome.k, outcome.steps, outcome.witness, outcome.presentation.format()
+    return _show(
+        args,
+        {"k": k, "steps": steps, "presentation": text, "witness": w.to_json()},
+        [f"found: k={k} after {steps} units", f"presentation: {text}", f"to-subgroup: {w.forward.format()}",
+         f"from-subgroup: {w.backward.format()}"],
+    )
 
 
 # ---------------------------------------------------------------- tietze
@@ -301,18 +289,8 @@ def _cmd_tietze_apply(args) -> int:
     if not isinstance(moves_data, list):
         raise ValueError("moves must be a JSON list")
     result, log = apply_sequence(pres, moves_data)
-    if args.json:
-        _print_json(
-            {
-                "presentation": result.format(),
-                "hash": presentation_hash(result),
-                "log": log.to_json(),
-            }
-        )
-    else:
-        print(result.format())
-        print(f"hash: {presentation_hash(result)}")
-    return EXIT_OK
+    text, digest = result.format(), presentation_hash(result)
+    return _show(args, {"presentation": text, "hash": digest, "log": log.to_json()}, [text, f"hash: {digest}"])
 
 
 def _cmd_tietze_check(args) -> int:
@@ -320,12 +298,8 @@ def _cmd_tietze_check(args) -> int:
     move = parse_move(pres, _load_json_arg(args.move))
     outcome = check_move(pres, move, args.budget)
     if isinstance(outcome, Valid):
-        if args.json:
-            cert = None if outcome.certificate is None else outcome.certificate.to_json()
-            _print_json({"verdict": "valid", "cert": cert})
-        else:
-            print("valid")
-        return EXIT_OK
+        cert = None if outcome.certificate is None else outcome.certificate.to_json()
+        return _show(args, {"verdict": "valid", "cert": cert}, ["valid"])
     if isinstance(outcome, Invalid):
         print(f"invalid: {outcome.reason}")
         return EXIT_DOMAIN

@@ -135,16 +135,6 @@ def parse_presentation(text: str) -> FinitePresentation:
 # triviality certificates
 
 
-EMPTY_RELATOR_INDEX = -1
-"""Sentinel relator index meaning the empty relator.
-
-Certificate factors may draw from the relator list or from the empty word;
-empty-relator factors are accepted by the checker (they evaluate to the
-identity) but never generated by the enumerator, since they add nothing a
-shorter certificate does not already prove.
-"""
-
-
 class CertFactor(NamedTuple):
     conjugator: Word
     relator_index: int
@@ -157,7 +147,7 @@ class TrivialityCertificate(NamedTuple("TrivialityCertificate", [("factors", tup
     A word equals such a product (after free reduction) exactly when it is
     trivial in the presented group, so a certificate is checkable evidence of
     triviality.  JSON form: list of {"conj": word, "rel": index, "sign": +-1},
-    where rel may be EMPTY_RELATOR_INDEX (-1) for the empty relator.
+    where rel indexes the relators from 0.
     """
 
     __slots__ = ()
@@ -166,7 +156,7 @@ class TrivialityCertificate(NamedTuple("TrivialityCertificate", [("factors", tup
         for f in factors:
             if f.sign not in (1, -1):
                 raise ValueError(f"certificate sign must be +1 or -1, got {f.sign}")
-            if f.relator_index < EMPTY_RELATOR_INDEX:
+            if f.relator_index < 0:
                 raise ValueError(f"negative relator index: {f.relator_index}")
         return tuple.__new__(cls, (factors,))
 
@@ -225,14 +215,12 @@ def certificate_word(pres: Presentation, cert: TrivialityCertificate) -> Word:
     more than ``MAX_WORD_LETTERS`` letters is a ValueError, raised before
     the factor that would pass the cap is copied.
     """
-    top = max(f.relator_index for f in cert.factors) if cert.factors else EMPTY_RELATOR_INDEX
+    top = max((f.relator_index for f in cert.factors), default=-1)
     rels = list(itertools.islice(_relator_codes(pres), top + 1))
     codes: list[int] = []
     for c, i, e in cert.factors:
         if c.alphabet != pres.generators:
             raise ValueError("conjugator is not a word over the presentation's generators")
-        if i == EMPTY_RELATOR_INDEX:
-            continue  # c . empty . c^-1 contributes nothing
         if i >= len(rels):
             raise ValueError(f"relator index {i} out of range")
         r = rels[i] if e == 1 else _inverse(rels[i])

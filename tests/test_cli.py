@@ -328,10 +328,17 @@ def test_tietze_check_invalid(capsys):
     [
         (("check-cert", "-p", "< x | x^2 >", "x", "--cert", "[" * 5000), "JSON nested too deeply"),
         (("kernel-enum", "-i", "0", "--count", "-1"), "count must be >= 0"),
+        (("enum-trivial", "-p", "< x | x^2 >", "--count", "-1"), "count must be >= 0"),
+        (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", '[{"conj": "x", "rel": -1, "sign": 1}]'),
+         "negative relator index: -1"),
+        (("tietze-check", "-p", "< x | x^2 >", "--move",
+          '{"op": "add_rel", "word": "x^2", "cert": [{"conj": "", "rel": -1, "sign": 1}]}'),
+         "negative relator index: -1"),
         (("tietze-apply", "-p", "< x | x^2 >", "--moves", '{"op": "add_gen", "name": "y", "definition": "x"}'),
          "moves must be a JSON list"),
     ],
-    ids=["cert-nested", "kernel-enum-count", "moves-not-a-list"],
+    ids=["cert-nested", "kernel-enum-count", "enum-trivial-count", "cert-empty-relator", "move-empty-relator",
+         "moves-not-a-list"],
 )
 def test_rejected_input_in_process(capsys, argv, message):
     assert run(capsys, *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
@@ -551,6 +558,97 @@ def test_outputs_are_byte_deterministic(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+_REM_REL = json.dumps({"op": "rem_rel", "index": 1})
+_ADD_Y = json.dumps({"op": "add_gen", "name": "y", "definition": "x"})
+_ADD_X = json.dumps({"op": "add_gen", "name": "x", "definition": "x"})
+_TWO_MOVES = json.dumps([{"op": "add_gen", "name": "y", "definition": "x x"},
+                         {"op": "add_rel", "word": "x^4", "cert": [{"conj": "", "rel": 0, "sign": 1}] * 2}])
+_BAD_MOVE = json.dumps([{"op": "rem_gen", "name": "z", "index": 0}])
+
+# (argv, exit code, stdout, stderr) of every --json command in both modes, every
+# budget exit and a two-move Tietze chain, recorded before the handlers shared
+# one renderer: the CLI's output contract, byte for byte
+_GOLDEN = (
+    (("bs-reduce", "s t^3 s^-1"), EXIT_OK, "t^2\npinches: 1\n", ""),
+    (("bs-reduce", "s^-1 t^2 s t^-3"), EXIT_OK, "t^0\npinches: 1\n", ""),
+    (("enum-trivial", "-p", "< x | x^2 >", "--count", "3"), EXIT_OK, "\nx^2\nx^-2\n", ""),
+    (("enum-trivial", "-p", "< x | x^2 >", "--count", "0"), EXIT_OK, "", ""),
+    (("abelian", "-p", BS_TEXT), EXIT_OK, "free rank: 1\ntorsion: none\n", ""),
+    (("abelian", "-p", "< a, b | a^2, b^4 >"), EXIT_OK, "free rank: 0\ntorsion: 2, 4\n", ""),
+    (("iso-search", "-p", "< x | x^2 >", "-q", "< y | y^2 >"), EXIT_OK,
+     "found: pair 4 after 4 steps\nforward: x=y\nbackward: y=x\n", ""),
+    (("iso-search", "-p", "< x | x^2 >", "-q", "< y | y^3 >", "--candidates", "100"), EXIT_BUDGET,
+     "exhausted after 0 units\n", ""),
+    (("subgrp-presentation", "--gens", "t", "-q", "< a | >", "--candidates", "400", "--budget", "60"), EXIT_OK,
+     "found: k=0 after 7 units\npresentation: < W1 | >\nto-subgroup: a=W1\nfrom-subgroup: W1=a\n", ""),
+    (("subgrp-presentation", "--gens", "s", "-q", "< a | a^2 >", "--candidates", "60", "--budget", "30"), EXIT_BUDGET,
+     "exhausted after 30 units\n", ""),
+    (("tietze-apply", "-p", "< x | x^2 >", "--moves", "[]"), EXIT_OK,
+     "< x | x^2 >\nhash: e7f0ecc6bd971d5d55c7edf02e936c1b031134b404e93c80477a83221c70456d\n", ""),
+    (("tietze-apply", "-p", "< x | x^2 >", "--moves", _TWO_MOVES), EXIT_OK,
+     "< x, y | x^2, y x^-2, x^4 >\n"
+     "hash: 71bb33db48a18afcabc880f9ae26f09d7b082eab6356f823097927f3bc1a10f5\n", ""),
+    (("tietze-check", "-p", "< x | x^2, x^4 >", "--move", _REM_REL), EXIT_OK, "valid\n", ""),
+    (("tietze-check", "-p", "< x | >", "--move", _ADD_Y), EXIT_OK, "valid\n", ""),
+    (("tietze-check", "-p", "< x | >", "--move", _ADD_X), EXIT_DOMAIN,
+     "invalid: generator 'x' already present\n", ""),
+    (("tietze-check", "-p", "< x | x^2, x^4 >", "--move", _REM_REL, "--budget", "1"), EXIT_BUDGET,
+     "unverifiable at budget 1\n", ""),
+    (("bs-reduce", "s t^3 s^-1", "--json"), EXIT_OK, '{"normal_form": "t^2", "pinches": 1}\n', ""),
+    (("bs-reduce", "s^-1 t^2 s t^-3", "--json"), EXIT_OK, '{"normal_form": "t^0", "pinches": 1}\n', ""),
+    (("enum-trivial", "-p", "< x | x^2 >", "--count", "3", "--json"), EXIT_OK,
+     '[{"cert": [], "word": ""}, {"cert": [{"conj": "", "rel": 0, "sign": 1}], "word": "x^2"}, '
+     '{"cert": [{"conj": "", "rel": 0, "sign": -1}], "word": "x^-2"}]\n', ""),
+    (("enum-trivial", "-p", "< x | x^2 >", "--count", "0", "--json"), EXIT_OK, "[]\n", ""),
+    (("abelian", "-p", BS_TEXT, "--json"), EXIT_OK, '{"free_rank": 1, "torsion": []}\n', ""),
+    (("abelian", "-p", "< a, b | a^2, b^4 >", "--json"), EXIT_OK, '{"free_rank": 0, "torsion": [2, 4]}\n', ""),
+    (("iso-search", "-p", "< x | x^2 >", "-q", "< y | y^2 >", "--json"), EXIT_OK,
+     '{"pair": 4, "steps": 4, "witness": {"backward": "y=x", "forward": "x=y"}}\n', ""),
+    (("iso-search", "-p", "< x | x^2 >", "-q", "< y | y^3 >", "--candidates", "100", "--json"), EXIT_BUDGET,
+     "exhausted after 0 units\n", ""),
+    (("subgrp-presentation", "--gens", "t", "-q", "< a | >", "--candidates", "400", "--budget", "60",
+      "--json"), EXIT_OK,
+     '{"k": 0, "presentation": "< W1 | >", "steps": 7, "witness": {"backward": "W1=a", '
+     '"forward": "a=W1"}}\n', ""),
+    (("subgrp-presentation", "--gens", "s", "-q", "< a | a^2 >", "--candidates", "60", "--budget", "30",
+      "--json"), EXIT_BUDGET, "exhausted after 30 units\n", ""),
+    (("tietze-apply", "-p", "< x | x^2 >", "--moves", "[]", "--json"), EXIT_OK,
+     '{"hash": "e7f0ecc6bd971d5d55c7edf02e936c1b031134b404e93c80477a83221c70456d", '
+     '"log": {"entries": []}, "presentation": "< x | x^2 >"}\n', ""),
+    (("tietze-apply", "-p", "< x | x^2 >", "--moves", _TWO_MOVES, "--json"), EXIT_OK,
+     '{"hash": "71bb33db48a18afcabc880f9ae26f09d7b082eab6356f823097927f3bc1a10f5", '
+     '"log": {"entries": [{"after": "ad67a740d2b0f4d19acdbfd390620956dca9c5ca0e5ba314984d649493748e3c", '
+     '"before": "e7f0ecc6bd971d5d55c7edf02e936c1b031134b404e93c80477a83221c70456d", '
+     '"move": {"definition": "x^2", "name": "y", "op": "add_gen"}}, '
+     '{"after": "71bb33db48a18afcabc880f9ae26f09d7b082eab6356f823097927f3bc1a10f5", '
+     '"before": "ad67a740d2b0f4d19acdbfd390620956dca9c5ca0e5ba314984d649493748e3c", '
+     '"move": {"cert": [{"conj": "", "rel": 0, "sign": 1}, {"conj": "", "rel": 0, "sign": 1}], '
+     '"op": "add_rel", "word": "x^4"}}]}, "presentation": "< x, y | x^2, y x^-2, x^4 >"}\n', ""),
+    (("tietze-check", "-p", "< x | x^2, x^4 >", "--move", _REM_REL, "--json"), EXIT_OK,
+     '{"cert": [{"conj": "", "rel": 0, "sign": 1}, {"conj": "", "rel": 0, "sign": 1}], '
+     '"verdict": "valid"}\n', ""),
+    (("tietze-check", "-p", "< x | >", "--move", _ADD_Y, "--json"), EXIT_OK,
+     '{"cert": null, "verdict": "valid"}\n', ""),
+    (("tietze-check", "-p", "< x | >", "--move", _ADD_X, "--json"), EXIT_DOMAIN,
+     "invalid: generator 'x' already present\n", ""),
+    (("tietze-check", "-p", "< x | x^2, x^4 >", "--move", _REM_REL, "--budget", "1", "--json"), EXIT_BUDGET,
+     "unverifiable at budget 1\n", ""),
+    (("hom-check", "-p", "< x | x^2 >", "-q", "< y | y^3 >", "--map", "x=y", "--budget", "50"), EXIT_BUDGET,
+     "exhausted after 50 steps\n", ""),
+    (("hom-check", "-p", "< x | x^2 >", "-q", "< y | y^2 >", "--map", "x=y"), EXIT_OK, "proved in 2 steps\n", ""),
+    (("tietze-apply", "-p", "< x | >", "--moves", _BAD_MOVE, "--json"), EXIT_DOMAIN,
+     "", "error: move 0: presentation has no generator 'z'\n"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", _GOLDEN,
+    ids=[f"{k}-{argv[0]}{'-json' * ('--json' in argv)}" for k, (argv, *_) in enumerate(_GOLDEN)],
+)
+def test_output_matches_the_recorded_table(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_installed_entry_point():

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st_
 
 from fpw.harness import ExplicitFiniteSet, _linear_witness, quotient_tower_presentation
 from fpw.presentations import (
-    EMPTY_RELATOR_INDEX,
     CertFactor,
     Exhausted,
     FinitePresentation,
@@ -174,16 +173,14 @@ def test_certificate_word_inverse_sign():
     assert certificate_word(p, cert) == xw("x^-2")
 
 
-def test_certificate_empty_relator_factors_are_inert():
-    p = parse_presentation("< x | x^2 >")
-    cert = TrivialityCertificate(
-        (
-            CertFactor(xw("x"), EMPTY_RELATOR_INDEX, 1),
-            CertFactor(xw(""), 0, 1),
-            CertFactor(xw("x^-1"), EMPTY_RELATOR_INDEX, -1),
+def test_certificate_rejects_the_empty_relator_index():
+    # relator indices start at 0; no index names the empty relator
+    with pytest.raises(ValueError, match="^negative relator index: -1$"):
+        TrivialityCertificate((CertFactor(xw(""), 0, 1), CertFactor(xw("x"), -1, 1)))
+    with pytest.raises(ValueError, match="^negative relator index: -1$"):
+        TrivialityCertificate.from_json(
+            Alphabet.of("x"), [{"conj": "", "rel": 0, "sign": 1}, {"conj": "x", "rel": -1, "sign": -1}]
         )
-    )
-    assert certificate_word(p, cert) == xw("x^2")
 
 
 def test_certificate_index_out_of_range():
@@ -258,7 +255,7 @@ def test_rejected_arguments_raise_value_error(call, message):
 def test_certificate_json_roundtrip():
     a = Alphabet.of("x")
     cert = TrivialityCertificate(
-        (CertFactor(xw("x"), 0, 1), CertFactor(xw(""), EMPTY_RELATOR_INDEX, -1))
+        (CertFactor(xw("x"), 0, 1), CertFactor(xw(""), 2, -1))
     )
     data = json.loads(json.dumps(cert.to_json()))
     assert TrivialityCertificate.from_json(a, data) == cert

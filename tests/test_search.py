@@ -271,6 +271,26 @@ def test_subgroup_search_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("max_candidates, pairs", [(2, 1), (3, 2)])
+def test_subgroup_search_attempts_no_pair_past_the_candidate_budget(monkeypatch, max_candidates, pairs):
+    # W1 -> the empty word is accepted at once, so the first cycle has P_0 and P_1
+    # live; the candidate word and the pair attempts share max_candidates, and a
+    # budget spent mid-cycle stops before the next pair
+    attempted = []
+    attempt = fpw.search._attempt
+
+    def counting(left, right, z):
+        attempted.append((len(right.pres.relators), z))
+        return attempt(left, right, z)
+
+    monkeypatch.setattr(fpw.search, "_attempt", counting)
+    outcome = subgroup_presentation_search(
+        bs_presentation(BS23), bs_oracle, [w("")], parse_presentation("< x | >"), SearchBudget(max_candidates, 10)
+    )
+    assert outcome == Exhausted(steps=1)
+    assert attempted == [(0, 0), (1, 0)][:pairs]
+
+
 # ---------------------------------------------------------------- scanner oracle
 #
 # The scanner as it was before it read candidate pairs off shared stream
