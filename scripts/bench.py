@@ -28,6 +28,11 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     [-9, 9], for n = 4, 8, 12, 24, with the largest entry of U and V in bits
     (ms per size and in all);
   * the first 744 emissions of BS(2,3)'s certificate stream (emissions/s);
+  * the first 20,000 emissions of the raw certificate stream ``_emissions``
+    of ``< a, b | a^3, a b a^-1 b^-1 >`` and of the six-relator
+    ``< a, b | a^2, b^2, a b a b, a^3 b, b^3 a, a b^-1 a b >``, whose blocks
+    reach top relator indices 1 and 5 where BS(2,3)'s stay at 0 (ms per
+    case and in all);
   * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
     relator conjugated by t (ms, and candidate pairs/s);
   * the Z2 rung of the subgroup search at 300 candidates and 300 emissions
@@ -102,6 +107,7 @@ from fpw.presentations import (
     semidecide_trivial,
     smith_normal_form,
     trivial_word_stream,
+    _emissions,
 )
 from fpw.search import (
     SearchBudget,
@@ -235,6 +241,16 @@ def measure(repeat: int) -> dict:
         secs, _ = best_of(repeat, lambda: list(itertools.islice(trivial_word_stream(bs), 744)))
         return {"emissions": 744, "ms": secs * 1e3, "emissions_per_s": 744 / secs}
 
+    def stream_multi_relator():
+        texts = ("< a, b | a^3, a b a^-1 b^-1 >", "< a, b | a^2, b^2, a b a b, a^3 b, b^3 a, a b^-1 a b >")
+        case_ms, emitted = [], []
+        for text in texts:
+            pres = parse_presentation(text)
+            secs, n = best_of(repeat, lambda: sum(1 for _ in itertools.islice(_emissions(pres), 20000)))
+            case_ms.append(secs * 1e3)
+            emitted.append(n)
+        return {"ms": sum(case_ms), "case_ms": case_ms, "emissions": emitted}
+
     def iso_pinned():
         secs, found = best_of(repeat, lambda: iso_search(bs, variant, SearchBudget(400, 300)))
         pairs = found.pair_index + 1
@@ -302,7 +318,8 @@ def measure(repeat: int) -> dict:
                       ("harness.kernel_density_20000", kernel_density_20000),
                       ("harness.recover_sweep", recover_sweep), ("presentations.snf_by_size", snf_by_size),
                       ("presentations.certificate_word", certificate_eval),
-                      ("stream.bs23_744", stream), ("search.iso_pinned", iso_pinned),
+                      ("stream.bs23_744", stream), ("stream.multi_relator_20000", stream_multi_relator),
+                      ("search.iso_pinned", iso_pinned),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
                       ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),

@@ -282,38 +282,50 @@ def _emissions(
     Conjugators and relators are stored reduced, so each factor c r^e c^-1 is
     reduced once, on first use, into a memo that lives as long as this
     stream, and an emission joins its reduced factors at their junctions.
+    Emissions share their index and sign tuples: the sign tuples of n
+    factors are built once per n, and the index tuples whose top index is
+    ``max_idx`` once per (n, max_idx) block, so no emission builds an index
+    or sign tuple of its own.  A conjugator tuple and its memos come
+    straight off products of each length's words and memos.
     """
     relators = _relator_codes(pres)
     rels: list[dict[int, tuple[int, ...]]] = []  # rels[i][e] is r_i^e, pulled as the sizes need them
     conjugators = _shortlex_levels(pres.generators)
-    # per length: each conjugator with its memo; memo[i][e] is c r_i^e c^-1 reduced
-    levels: list[list[tuple[Word, list[dict[int, tuple[int, ...]]]]]] = []
+    # per length: the conjugators, and each one's memo; memo[i][e] is c r_i^e c^-1 reduced
+    words_of: list[list[Word]] = []
+    memos_of: list[list[list[dict[int, tuple[int, ...]]]]] = []
+    # sign_rows[n - 1]: each n-tuple of signs, +1 before -1, with its head and tail
+    sign_rows: list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]] = []
     yield (), (), (), ()
     for size in itertools.count(1):
         rels += ({1: r, -1: _inverse(r)} for r in itertools.islice(relators, size - len(rels)))
         if not rels:  # the source ended before its first relator
             return
         for n in range(1, size + 1):
+            if n > len(sign_rows):
+                sign_rows.append([(s, s[0], s[1:]) for s in itertools.product((1, -1), repeat=n)])
             rest = size - n
             for max_idx in range(0, min(rest, len(rels) - 1) + 1):
                 conj_total = rest - max_idx
+                idx_tuples = [t for t in itertools.product(range(max_idx + 1), repeat=n) if max_idx in t]
                 for comp in _compositions(conj_total, n):
-                    while len(levels) <= max(comp):
-                        levels.append([(c, []) for c in next(conjugators)])
-                    for conjs in itertools.product(*(levels[ln] for ln in comp)):
-                        for c, memo in conjs:
+                    while len(words_of) <= max(comp):
+                        words_of.append(next(conjugators))
+                        memos_of.append([[] for _ in words_of[-1]])
+                    for words, memos in zip(
+                        itertools.product(*(words_of[ln] for ln in comp)),
+                        itertools.product(*(memos_of[ln] for ln in comp)),
+                    ):
+                        for c, memo in zip(words, memos):
                             while len(memo) <= max_idx:
                                 c_inv, i = _inverse(c.codes), len(memo)
                                 memo.append({e: _join(_join(c.codes, rels[i][e]), c_inv) for e in (1, -1)})
-                        words = tuple(c for c, _ in conjs)
-                        for idxs in itertools.product(range(max_idx + 1), repeat=n):
-                            if max(idxs) != max_idx:
-                                continue
-                            head, *tail = [memo[i] for (_, memo), i in zip(conjs, idxs)]
-                            for signs in itertools.product((1, -1), repeat=n):
-                                codes = head[signs[0]]
-                                for factor, e in zip(tail, signs[1:]):
-                                    codes = _join(codes, factor[e])
+                        for idxs in idx_tuples:
+                            head, *tail = map(list.__getitem__, memos, idxs)
+                            for signs, first, later in sign_rows[n - 1]:
+                                codes = head[first]
+                                for factor in map(dict.__getitem__, tail, later):
+                                    codes = _join(codes, factor)
                                 yield codes, words, idxs, signs
 
 

@@ -80,6 +80,9 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert run["layers"]["search.iso_pinned"]["units"] == 6018
     assert run["layers"]["search.hom_doubling"]["steps"] == 744
     assert run["layers"]["stream.bs23_744"]["emissions_per_s"] > 0
+    multi = run["layers"]["stream.multi_relator_20000"]
+    assert multi["emissions"] == [20000, 20000]
+    assert len(multi["case_ms"]) == 2 and all(ms > 0 for ms in multi["case_ms"])
     assert run["layers"]["semidecide.trivial_300th"]["steps"] == 300  # first emitted there
     assert run["layers"]["search.verify_pinned"]["verified"] is True
     assert run["layers"]["search.verify_pinned"]["ms"] > 0

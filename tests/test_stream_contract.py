@@ -11,6 +11,7 @@ must reproduce them byte for byte.
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -25,9 +26,9 @@ from fpw.presentations import (
     trivial_word_stream,
     _emissions,
 )
-from fpw.words import Alphabet, format_word, invert, parse_word, _inverse, _reduce
+from fpw.words import Alphabet, format_word, invert, parse_word, _inverse, _reduce, _word
 
-from conftest import ShortlexWords
+from conftest import ShortlexWords, emissions_with_fresh_tuples
 
 EMISSIONS = 50_000
 
@@ -95,6 +96,87 @@ _REPEATING = RecursivePresentation(_XY, lambda: iter([_X2, _X2, _XY.empty_word()
 def test_raw_stream_matches_the_reference(pres):
     expected = itertools.islice(_reference_emissions(pres), 3000)
     assert list(itertools.islice(_emissions(pres), 3000)) == list(expected)
+
+
+# ---------------------------------------------------------------- the raw stream against the parent stream
+
+
+def _pull(stream, count):
+    """The first ``count`` emissions of ``stream``, and the message of the
+    ValueError that ended it early or None."""
+    out = []
+    try:
+        for item in itertools.islice(stream, count):
+            out.append(item)
+    except ValueError as e:
+        return out, str(e)
+    return out, None
+
+
+@st_.composite
+def _alphabets_and_relators(draw):
+    """1-3 generators and 0-6 relators drawn from a pool of at most four words
+    of up to four letters, so relators repeat, the empty word occurs and
+    relator indices run up to 5."""
+    alphabet = Alphabet.of(*"abc"[: draw(st_.integers(1, 3))])
+    letters = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+    pool = draw(st_.lists(st_.lists(st_.sampled_from(letters), max_size=4), min_size=1, max_size=4))
+    relators = draw(st_.lists(st_.sampled_from(pool), max_size=6))
+    return alphabet, [_word(alphabet, _reduce(codes)) for codes in relators]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_alphabets_and_relators())
+def test_raw_stream_matches_the_parent_stream(drawn):
+    pres = FinitePresentation(*drawn)
+    assert _pull(_emissions(pres), 1500) == _pull(emissions_with_fresh_tuples(pres), 1500)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_alphabets_and_relators(), st_.none() | st_.integers(0, 4))
+def test_raw_stream_matches_the_parent_stream_on_a_relator_source(drawn, foreign_at):
+    """A source that ends after its relators, or yields a relator over other
+    generators at position ``foreign_at``: both streams raise there after the
+    same emissions (by position 4 within 1500 emissions on three generators)."""
+    alphabet, relators = drawn
+    if foreign_at is not None:
+        relators.insert(min(foreign_at, len(relators)), parse_word(_XY, "x"))
+    pres = RecursivePresentation(alphabet, lambda: iter(relators))
+    got = _pull(_emissions(pres), 1500)
+    assert got == _pull(emissions_with_fresh_tuples(pres), 1500)
+    if foreign_at is not None:
+        assert got[1] == "relator is not a word over the presentation's generators"
+
+
+def _peak_bytes(stream, count):
+    """The peak traced memory while ``count`` emissions are pulled and dropped."""
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(stream, count):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text,bound", [
+    ("< a, b | a^2, b^2, a b a b, a^3 b, b^3 a, a b^-1 a b >", 1.2),
+    # One generator keeps the parent stream's state near 36 KB, and blocks of
+    # five factors over top index 2 (211 index tuples, 32 sign tuples) come
+    # within the 50,000 emissions.  The shared tables take the peak to about
+    # 1.5x the parent's; holding such a block's 6752 index x sign pairs takes
+    # it past 10x.
+    ("< a | a^2, a^3, a^5, a^7, a^11, a^13 >", 3.0),
+])
+def test_raw_stream_holds_no_more_than_the_parent_stream(text, bound):
+    """Shared index and sign tuples may cost a block (m+1)^n index tuples and
+    2^n sign tuples, never their product."""
+    pres = parse_presentation(text)
+    streams = (_emissions, emissions_with_fresh_tuples)
+    for stream in streams:  # untraced passes first, so both traced ones start with the free lists filled
+        _pull(stream(pres), 50_000)
+    change, parent = (_peak_bytes(stream(pres), 50_000) for stream in streams)
+    assert change <= bound * parent
 
 
 # ---------------------------------------------------------------- certificate evaluation
