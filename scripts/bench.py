@@ -35,6 +35,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     case and in all);
   * ``iso_search`` on the pinned BS(2,3) pair, its Tietze variant with the
     relator conjugated by t (ms, and candidate pairs/s);
+  * ``iso_search`` over 5000 candidate pairs of ``< x | >`` and
+    ``< y | y^2, y^-2 >``, all pruned by the abelian filter, so it exhausts
+    after 0 units and decoding the candidate maps is most of its time (ms);
   * the Z2 rung of the subgroup search at 300 candidates and 300 emissions
     per side, which exhausts (ms);
   * ``semidecide_homomorphism`` for the doubling map (ms);
@@ -256,6 +259,11 @@ def measure(repeat: int) -> dict:
         pairs = found.pair_index + 1
         return {"ms": secs * 1e3, "pair_index": found.pair_index, "units": found.steps, "pairs_per_s": pairs / secs}
 
+    def iso_filtered_5000():
+        free, z2_twice = parse_presentation("< x | >"), parse_presentation("< y | y^2, y^-2 >")
+        secs, outcome = best_of(repeat, lambda: iso_search(free, z2_twice, SearchBudget(5000, 100)))
+        return {"ms": secs * 1e3, "pairs": 5000, "units": outcome.steps}
+
     def subgroup_z2():
         def run():
             return subgroup_presentation_search(
@@ -319,7 +327,7 @@ def measure(repeat: int) -> dict:
                       ("harness.recover_sweep", recover_sweep), ("presentations.snf_by_size", snf_by_size),
                       ("presentations.certificate_word", certificate_eval),
                       ("stream.bs23_744", stream), ("stream.multi_relator_20000", stream_multi_relator),
-                      ("search.iso_pinned", iso_pinned),
+                      ("search.iso_pinned", iso_pinned), ("search.iso_filtered_5000", iso_filtered_5000),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
                       ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
                       ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),

@@ -16,7 +16,6 @@ import itertools
 import json
 import sys
 from functools import partial
-from pathlib import Path
 from typing import Sequence
 
 from .bs import (
@@ -38,6 +37,7 @@ from .harness import (
     cantor_pair,
     cantor_unpair,
     compress_stream,
+    parse_int_list,
     recover_cardinality,
     tower_oracle,
 )
@@ -67,6 +67,7 @@ from .tietze import (
     presentation_hash,
 )
 from .words import (
+    MAX_WORD_LETTERS,
     Alphabet,
     GeneratorMap,
     format_word,
@@ -78,6 +79,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+
+# The most bytes a file argument may hold: room for a certificate of
+# MAX_WORD_LETTERS one-letter factors at about 33 JSON bytes each.
+MAX_FILE_BYTES = 64 * MAX_WORD_LETTERS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,11 +97,20 @@ def _params(args) -> BSParams:
     return BSParams(args.m, args.n)
 
 
+def _read_file(path: str) -> str:
+    """The text of the file at ``path``, refused past ``MAX_FILE_BYTES``."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError(f"{path}: file longer than {MAX_FILE_BYTES} bytes")
+    return data.decode()
+
+
 def _load_json_arg(text: str):
     """Inline JSON if it looks like it, else the contents of a file path."""
     source = text.strip()
     if not source.startswith(("[", "{")):
-        source = Path(text).read_text()
+        source = _read_file(text)
     try:
         return json.loads(source)
     except RecursionError:
@@ -107,7 +121,7 @@ def _load_presentation(text: str):
     """Accept either presentation text or a path to a file holding one."""
     if "<" in text:
         return parse_presentation(text)
-    return parse_presentation(Path(text).read_text())
+    return parse_presentation(_read_file(text))
 
 
 def _show(args, payload, lines) -> int:
@@ -322,8 +336,7 @@ def _cmd_unpair(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    values = [int(p) for p in args.values.split(",")] if args.values else []
-    print(",".join(str(v) for v in compress_stream(values)))
+    print(",".join(str(v) for v in compress_stream(parse_int_list(args.values))))
     return EXIT_OK
 
 

@@ -69,6 +69,19 @@ def compress_stream(source: Iterable[int]) -> Iterator[int]:
             yield len(seen) - 1
 
 
+def parse_int_list(text: str) -> list[int]:
+    """The comma-separated integers of ``text``; empty or blank text has none."""
+    if not text.strip():
+        return []
+    out = []
+    for item in text.split(","):
+        try:
+            out.append(int(item))
+        except ValueError:
+            raise ValueError(f"not an integer: {item.strip()!r}") from None
+    return out
+
+
 class ExplicitFiniteSet(tuple):
     """A finite set of naturals: the sorted, duplicate-free tuple of its elements.
 
@@ -91,10 +104,7 @@ class ExplicitFiniteSet(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "ExplicitFiniteSet":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls.of(int(tok) for tok in text.split(","))
+        return cls.of(parse_int_list(text))
 
 
 def tower_oracle(k: int) -> Callable[[Word], bool]:

@@ -43,7 +43,7 @@ from .presentations import (
     exponent_vector,
     smith_normal_form,
 )
-from .words import Alphabet, GeneratorMap, Word, invert, shortlex_stream, shortlex_word, substitute
+from .words import Alphabet, GeneratorMap, Word, invert, shortlex_stream, substitute
 
 WordOracle = Callable[[Word], bool]
 """A total decision procedure for one group's word problem."""
@@ -123,14 +123,6 @@ def decide_homomorphism(
     return all(oracle_cod(substitute(r, phi)) for r in dom.relators)
 
 
-def _map_at(domain: Alphabet, codomain: Alphabet, a: int) -> GeneratorMap:
-    """Candidate map a: a decodes through the Cantor tuple bijection to one
-    shortlex position per domain generator, each unranked to its word over
-    ``codomain`` in closed form."""
-    idx = cantor_untuple(a, len(domain))
-    return GeneratorMap(domain, codomain, tuple(shortlex_word(codomain, i) for i in idx))
-
-
 def _round_trips(there: GeneratorMap, back: GeneratorMap) -> list[Word]:
     """back(there(g)) g^-1 for each generator g of ``there``'s domain; all are
     trivial exactly when back . there fixes every generator."""
@@ -150,8 +142,11 @@ class _Side:
     pulled lazily, at most ``cap`` emissions deep, and ``first`` maps the
     codes of each distinct word of that prefix to its first emission position
     (from 1); every candidate pair of the search reads the same prefix.
-    Candidate maps into this side's words are unranked on demand and memoised
-    with their exponent vectors, since the Cantor order revisits each one.
+    Candidate map ``a`` into this side decodes through the Cantor tuple
+    bijection to shortlex positions, read off ``words``, the prefix of
+    ``shortlex_stream`` pulled only as far as the largest position decoded;
+    each map is memoised with its exponent vectors, since the Cantor order
+    revisits it.
     The exponent matrix is built once: its rows are ``relator_vectors``, and
     its Smith form gives the abelian filter ``passes``."""
 
@@ -167,6 +162,8 @@ class _Side:
         self.pulled = 0
         self.ended = False
         self._stream = _emissions(pres)
+        self.words: list[Word] = []
+        self._word_source = shortlex_stream(pres.generators)
         self._maps: dict[tuple[Alphabet, int], tuple[GeneratorMap, list[tuple[int, ...]]]] = {}
 
     def passes(self, far: _Side, m_there: list[tuple[int, ...]], m_back: list[tuple[int, ...]]) -> bool:
@@ -194,7 +191,10 @@ class _Side:
         exponent vector of each image, decoded once for the life of the side."""
         hit = self._maps.get((domain, a))
         if hit is None:
-            phi = _map_at(domain, self.pres.generators, a)
+            idx = cantor_untuple(a, len(domain))
+            while len(self.words) <= max(idx):
+                self.words.append(next(self._word_source))
+            phi = GeneratorMap(domain, self.pres.generators, tuple(self.words[i] for i in idx))
             hit = self._maps[domain, a] = (phi, [exponent_vector(phi.codomain, img) for img in phi.images])
         return hit
 

@@ -5,9 +5,9 @@ letter codes, +-(generator index + 1), the way GAP and kbmag store them.
 Letters are validated where they enter (parsing, ``GeneratorMap``,
 certificate JSON); every public operation returns words in freely reduced
 form, reducing only where letters can cancel (see ``_word``).
-Reduced words have one shortlex order: ``shortlex_stream`` enumerates it level
-by level and ``shortlex_word`` unranks any position of it, and neither keeps
-a table of the words it has built.
+Reduced words have one shortlex order and one enumerator of it,
+``_shortlex_levels``, which keeps no length older than the one it builds;
+``shortlex_stream`` is its flat view.
 """
 
 from __future__ import annotations
@@ -257,26 +257,6 @@ def _shortlex_levels(alphabet: Alphabet) -> Iterator[list[Word]]:
 def shortlex_stream(alphabet: Alphabet) -> Iterator[Word]:
     """Yield every reduced word over the alphabet exactly once, in shortlex order."""
     return itertools.chain.from_iterable(_shortlex_levels(alphabet))
-
-
-def shortlex_word(alphabet: Alphabet, i: int) -> Word:
-    """The word at position ``i`` (from 0) of ``shortlex_stream(alphabet)``, in
-    closed form: a word of length n >= 1 has 2g choices of first letter and
-    2g - 1 of each later one, the ``_rank`` order less the inverse of the
-    letter before, so ``i`` past the shorter levels is a mixed-radix number."""
-    if i < 0:
-        raise ValueError(f"negative shortlex position: {i}")
-    choices, n, size = 2 * len(alphabet), 0, 1
-    while i >= size:
-        i, n, size = i - size, n + 1, choices * (choices - 1) ** n
-    codes: list[int] = []
-    for _ in range(n):
-        size //= choices - 1 if codes else choices
-        d, i = divmod(i, size)
-        if codes and d >= _rank(-codes[-1]):
-            d += 1
-        codes.append((-1) ** d * (d // 2 + 1))
-    return _word(alphabet, tuple(codes))
 
 
 class GeneratorMap(NamedTuple("GeneratorMap", [("domain", Alphabet), ("codomain", Alphabet), ("images", tuple)])):

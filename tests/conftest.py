@@ -43,8 +43,9 @@ def snf_error(a, u, d, v):
     return reference.snf_error(*([list(row) for row in m.entries] for m in (a, u, d, v)))
 
 
-# The shortlex table fpw kept before positions were unranked in closed form;
-# the oracle of the stateless enumerator in fpw.words.
+# The shortlex table fpw once kept, with random access by position; the
+# oracle of the level-by-level enumerator in fpw.words and of the candidate
+# maps the searches read off its prefixes.
 class ShortlexWords:
     """The reduced words over one alphabet in shortlex order, with random access.
 

@@ -23,7 +23,7 @@ from fpw.bs import (
     w_family,
 )
 from fpw.harness import tower_oracle
-from fpw.words import MAX_WORD_LETTERS, Alphabet, parse_word, shortlex_stream, shortlex_word, substitute
+from fpw.words import MAX_WORD_LETTERS, Alphabet, parse_word, shortlex_stream, substitute
 
 from conftest import w
 
@@ -361,8 +361,8 @@ def test_syllable_kernel_predicate_matches_spelled_out_images():
     # levels 0..6 over the first 3000 shortlex words, against f^i(w) spelled
     # out by iterated substitution and decided by Britton reduction
     f = doubling_map()
-    for index in range(3000):
-        word = image = shortlex_word(ST, index)
+    for word in itertools.islice(shortlex_stream(ST), 3000):
+        image = word
         for i in range(7):
             assert apply_f(word, i) == image
             assert in_kernel(word, i) == bs_is_trivial(BS23, image)
@@ -456,8 +456,7 @@ def _unclamped_in_kernel(word, i):
 
 def test_level_clamp_matches_the_unclamped_predicate():
     # in_kernel(w, i) == in_kernel(w, min(i, c)) for c the number of s-letters
-    for index in range(3000):
-        word = shortlex_word(ST, index)
+    for word in itertools.islice(shortlex_stream(ST), 3000):
         c = word.codes.count(1) + word.codes.count(-1)
         for i in (c, c + 1, c + 3):
             assert in_kernel(word, i) == _unclamped_in_kernel(word, i)

@@ -35,8 +35,8 @@ from fpw.search import (
     iso_search,
     semidecide_homomorphism,
     verify_iso_witness,
-    _map_at,
     _round_trips,
+    _Side,
 )
 from fpw.tietze import (
     AddGenerator,
@@ -50,7 +50,7 @@ from fpw.tietze import (
     apply_move,
     check_move,
 )
-from fpw.words import GeneratorMap, shortlex_word, substitute
+from fpw.words import GeneratorMap, shortlex_stream, substitute
 
 from conftest import w
 from test_search import SCANNER_CASES
@@ -146,7 +146,7 @@ def _targets(pres):
         firsts.setdefault(word, pos)
     by_position = sorted(firsts, key=firsts.get)
     picked = [by_position[k] for k in (0, 1, 2, 4, 9, 25, 60, 150, len(by_position) - 1) if k < len(by_position)]
-    letters = [shortlex_word(pres.generators, i) for i in range(1, 2 * len(pres.generators) + 1)]
+    letters = list(itertools.islice(shortlex_stream(pres.generators), 1, 2 * len(pres.generators) + 1))
     return list(dict.fromkeys(picked + letters))
 
 
@@ -159,7 +159,8 @@ def test_semidecide_trivial_matches_the_single_target_loop(pres):
 
 
 def _maps(dom, cod, count):
-    return [_map_at(dom.generators, cod.generators, a) for a in range(count)]
+    side = _Side(cod, 0)
+    return [side.map_from(dom.generators, a)[0] for a in range(count)]
 
 
 @pytest.mark.parametrize("dom", CASES, ids=lambda p: p.format())
@@ -195,10 +196,11 @@ ISO_PAIRS = [
 def test_verify_iso_witness_matches_the_per_obligation_checks(left, right):
     found = iso_search(left, right, SearchBudget(300, 60))
     witnesses = [found.witness] if not isinstance(found, Exhausted) else []
+    into_right, into_left = _Side(right, 0), _Side(left, 0)
     for z in range(25):
         a, b = cantor_unpair(z)
         witnesses.append(
-            IsoWitness(_map_at(left.generators, right.generators, a), _map_at(right.generators, left.generators, b))
+            IsoWitness(into_right.map_from(left.generators, a)[0], into_left.map_from(right.generators, b)[0])
         )
     verdicts = set()
     for witness in witnesses:

@@ -165,6 +165,36 @@ def test_presentation_file_missing(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,content,accepted",
+    [
+        (("abelian", "-p", "{path}"), "< x | x^2 >", "free rank: 0\ntorsion: 2\n"),
+        (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", "{path}"), '[{"conj": "", "rel": 0, "sign": 1}]',
+         "valid\n"),
+        (("tietze-apply", "-p", "< x | x^2 >", "--moves", "{path}"), "[]",
+         "< x | x^2 >\nhash: e7f0ecc6bd971d5d55c7edf02e936c1b031134b404e93c80477a83221c70456d\n"),
+    ],
+    ids=["presentation", "cert", "moves"],
+)
+def test_a_file_argument_past_the_byte_bound_is_refused(monkeypatch, tmp_path, capsys, argv, content, accepted):
+    # a file of exactly the bound is read; one byte more is refused before parsing
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", len(content))
+    at, over = tmp_path / "at.txt", tmp_path / "over.txt"
+    at.write_text(content)
+    over.write_text(content + "\n")
+    assert run(capsys, *(a.format(path=at) for a in argv)) == (EXIT_OK, accepted, "")
+    refused = f"error: {over}: file longer than {len(content)} bytes\n"
+    assert run(capsys, *(a.format(path=over) for a in argv)) == (EXIT_DOMAIN, "", refused)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_file_is_refused_within_the_bound():
+    # unbounded, reading /dev/zero ended in a MemoryError traceback under this limit
+    proc = _run_cli_process(["abelian", "-p", "/dev/zero"], 30, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
+    assert proc.stderr == f"error: /dev/zero: file longer than {cli.MAX_FILE_BYTES} bytes\n"
+
+
 # ---------------------------------------------------------------- search
 
 
@@ -452,10 +482,14 @@ def test_recover_card_reads_levels_past_the_witness_family_cap(kmax):
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "|W| = 2\n", "")
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def _run_cli_process(argv, timeout=60, cwd=None, preexec_fn=None):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, "-m", "fpw.cli", *argv], capture_output=True, text=True, env=_src_env(), timeout=timeout,
         cwd=cwd, preexec_fn=preexec_fn,
     )
 
@@ -640,6 +674,11 @@ _GOLDEN = (
     (("hom-check", "-p", "< x | x^2 >", "-q", "< y | y^2 >", "--map", "x=y"), EXIT_OK, "proved in 2 steps\n", ""),
     (("tietze-apply", "-p", "< x | >", "--moves", _BAD_MOVE, "--json"), EXIT_DOMAIN,
      "", "error: move 0: presentation has no generator 'z'\n"),
+    # comma-separated naturals: blank text has none, and a bad item is named
+    (("compress", "1,,2"), EXIT_DOMAIN, "", "error: not an integer: ''\n"),
+    (("compress", " "), EXIT_OK, "\n", ""),
+    (("demo", "recover-card", "--set", "a"), EXIT_DOMAIN, "", "error: not an integer: 'a'\n"),
+    (("demo", "recover-card", "--set", "4,-7"), EXIT_DOMAIN, "", "error: elements must be naturals\n"),
 )
 
 
@@ -652,12 +691,19 @@ def test_output_matches_the_recorded_table(capsys, argv, code, out, err):
 
 
 def test_installed_entry_point():
+    # the installed console script, or else the target pyproject.toml names for it
     exe = shutil.which("fpw")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run(
-        [exe, "wfam", "-i", "1"], capture_output=True, text=True, timeout=60
-    )
+    if exe is not None:
+        proc = subprocess.run([exe, "wfam", "-i", "1"], capture_output=True, text=True, timeout=60)
+    else:
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"fpw": "fpw.cli:main"}
+        module, _, function = project["scripts"]["fpw"].partition(":")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"from {module} import {function}; raise SystemExit({function}())", "wfam", "-i", "1"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == W1_TEXT + "\n"
 

@@ -78,6 +78,8 @@ def test_bench_writes_layer_numbers(tmp_path):
         assert run["layers"][layer]["ms"] > 0
     assert run["layers"]["search.iso_pinned"]["pair_index"] == 364
     assert run["layers"]["search.iso_pinned"]["units"] == 6018
+    assert run["layers"]["search.iso_filtered_5000"]["units"] == 0
+    assert run["layers"]["search.iso_filtered_5000"]["ms"] > 0
     assert run["layers"]["search.hom_doubling"]["steps"] == 744
     assert run["layers"]["stream.bs23_744"]["emissions_per_s"] > 0
     multi = run["layers"]["stream.multi_relator_20000"]

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -30,11 +29,10 @@ from fpw.search import (
     subgroup_presentation_search,
     verify_iso_witness,
     _attempt,
-    _map_at,
     _round_trips,
     _Side,
 )
-from fpw.words import Alphabet, GeneratorMap, parse_word, shortlex_word, substitute
+from fpw.words import Alphabet, GeneratorMap, parse_word, shortlex_stream, substitute
 
 from conftest import ShortlexWords, w
 
@@ -432,7 +430,7 @@ def _pair_index(left, right, phi_text, psi_text):
     """The candidate pair index z at which pairs from ``left`` to ``right``
     decode as the given maps."""
     def index(alphabet, image):
-        return next(i for i in itertools.count() if shortlex_word(alphabet, i) == image)
+        return next(i for i, word in enumerate(shortlex_stream(alphabet)) if word == image)
 
     phi = GeneratorMap.parse(left.generators, right.generators, phi_text)
     psi = GeneratorMap.parse(right.generators, left.generators, psi_text)
@@ -482,12 +480,65 @@ def test_pair_scanner_when_a_finite_stream_fails_first(left, right, phi_text, ps
 def test_exponent_vector_filter_matches_the_word_filter(left, right, a, b):
     oracle = _OraclePairScanner(left, right, 0)
     ls, rs = _Side(left, 0), _Side(right, 0)
-    phi = _map_at(left.generators, right.generators, a)
-    psi = _map_at(right.generators, left.generators, b)
+    phi, _ = rs.map_from(left.generators, a)
+    psi, _ = ls.map_from(right.generators, b)
     m_phi = [exponent_vector(right.generators, img) for img in phi.images]
     m_psi = [exponent_vector(left.generators, img) for img in psi.images]
     by_vectors = ls.passes(rs, m_phi, m_psi) and rs.passes(ls, m_psi, m_phi)
     assert by_vectors == oracle.abelian_ok(phi, psi)
+
+
+BS = bs_presentation(BS23)
+BS_VARIANT = FinitePresentation(ST, (w("t") * BS.relators[0] * w("t^-1"),))
+DECODE_CASES = [parse_presentation("< x | >"), BS, parse_presentation("< a, b, c | >")]
+
+
+@pytest.mark.parametrize("order", [range(400), range(399, -1, -1), random.Random(30).sample(range(400), 400)],
+                         ids=["in-order", "reversed", "shuffled"])
+def test_candidate_maps_match_the_table_decode(order):
+    # candidate maps 0..399 between every ordered pair of presentations, each
+    # order on fresh sides, against the random-access shortlex table
+    for left in DECODE_CASES:
+        for right in DECODE_CASES:
+            words = ShortlexWords(right.generators)
+            side = _Side(right, 0)
+            for a in order:
+                phi, vectors = side.map_from(left.generators, a)
+                assert phi == _OraclePairScanner.decode(left.generators, words, a), (left.format(), right.format(), a)
+                assert vectors == [exponent_vector(right.generators, img) for img in phi.images]
+
+
+def _record_sides(monkeypatch):
+    """Every side the search module builds from now on, in a list."""
+    made = []
+
+    class Recorded(_Side):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(fpw.search, "_Side", Recorded)
+    return made
+
+
+@pytest.mark.parametrize(
+    "left,right,budget,expected",
+    [
+        # the pinned BS(2,3) search, and 5000 pairs the abelian filter prunes
+        (BS, BS_VARIANT, SearchBudget(400, 300), (364, 6018)),
+        (parse_presentation("< x | >"), parse_presentation("< y | y^2, y^-2 >"), SearchBudget(5000, 100),
+         Exhausted(0)),
+    ],
+    ids=["pinned", "filtered-5000"],
+)
+def test_a_side_pulls_words_only_to_the_largest_decoded_position(monkeypatch, left, right, budget, expected):
+    sides = _record_sides(monkeypatch)
+    outcome = iso_search(left, right, budget)
+    assert ((outcome.pair_index, outcome.steps) if isinstance(outcome, Found) else outcome) == expected
+    assert len(sides) == 2
+    for side in sides:
+        top = max(max(cantor_untuple(a, len(domain))) for domain, a in side._maps)
+        assert len(side.words) == top + 1
 
 
 def test_a_side_builds_its_exponent_matrix_once(monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st_
+from hypothesis import example, given, strategies as st_
 
 from fpw.bs import BS23, apply_f, bs_presentation, w_family
 from fpw.harness import _linear_witness
@@ -24,7 +24,6 @@ from fpw.words import (
     invert,
     parse_word,
     shortlex_stream,
-    shortlex_word,
     substitute,
     _join,
     _reduce,
@@ -56,7 +55,7 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 
 def test_letter_order_is_declaration_order_with_inverses_interleaved():
-    level = [shortlex_word(ST, i) for i in range(1, 5)]
+    level = list(itertools.islice(shortlex_stream(ST), 1, 5))
     assert [_pairs(word) for word in level] == [(("s", 1),), (("s", -1),), (("t", 1),), (("t", -1),)]
     assert [word.shortlex_key() for word in level] == [(1, (0,)), (1, (1,)), (1, (2,)), (1, (3,))]
 
@@ -243,51 +242,13 @@ def test_shortlex_is_nondecreasing_and_duplicate_free():
         prev_key = key
 
 
-def _walk_index(words, i):
-    """Position lookup by walking the table's levels from length 0."""
-    for n in itertools.count():
-        level = words.of_length(n)
-        if i < len(level):
-            return level[i]
-        i -= len(level)
-
-
-def test_shortlex_index_matches_the_level_walk():
-    # positions unranked in order and in a scrambled order, which revisits
-    # shorter levels, against the walk over the table's levels
-    reference = ShortlexWords(ST)
-    expected = [_walk_index(reference, i) for i in range(5000)]
-    assert [shortlex_word(ST, i) for i in range(5000)] == expected
-    for i in sorted(range(5000), key=lambda i: (i * 7919) % 5000):
-        assert shortlex_word(ST, i) == expected[i]
-
-
 @pytest.mark.parametrize("alphabet", [Alphabet.of("x"), ST, Alphabet.of("a", "b", "c")], ids=len)
 def test_shortlex_enumerator_matches_the_table(alphabet):
-    # the stream, the unranked positions and the levels against the table
-    # fpw kept before positions had a closed form
+    # the stream and the levels against the random-access table fpw once kept
     table = ShortlexWords(alphabet)
     expected = [table[i] for i in range(5000)]
     assert list(itertools.islice(shortlex_stream(alphabet), 5000)) == expected
-    assert [shortlex_word(alphabet, i) for i in range(5000)] == expected
     assert list(itertools.islice(_shortlex_levels(alphabet), 7)) == [table.of_length(n) for n in range(7)]
-
-
-@pytest.fixture(scope="module")
-def st_table():
-    return ShortlexWords(ST)
-
-
-@settings(max_examples=200, deadline=None)
-@given(i=st_.integers(0, 200_000))
-@example(i=200_000)
-def test_shortlex_word_matches_the_table_far_out(st_table, i):
-    assert shortlex_word(ST, i) == st_table[i]
-
-
-def test_shortlex_word_rejects_a_negative_position():
-    with pytest.raises(ValueError):
-        shortlex_word(ST, -1)
 
 
 @pytest.mark.parametrize("names,max_len", [(("t",), 4), (("s", "t"), 3)])
@@ -500,7 +461,7 @@ def test_every_word_operation_stores_a_reduced_tuple(p1, p2, index, iterate, j, 
     u, v = _word_of(ST, p1), _word_of(ST, p2)
     m = GeneratorMap(ST, ST, (v, u))
     _assert_stored_reduced(u, v, u * v, ~u, substitute(u, m), m.then(m).images[0])
-    _assert_stored_reduced(shortlex_word(ST, index), *next(itertools.islice(_shortlex_levels(ST), iterate, None)))
+    _assert_stored_reduced(next(itertools.islice(shortlex_stream(ST), index, None)), *next(itertools.islice(_shortlex_levels(ST), iterate, None)))
     _assert_stored_reduced(apply_f(u, iterate))
     _assert_stored_reduced(_linear_witness(j), w_family(fam))
     added = apply_move(FinitePresentation(ST, (u * v, u)), AddGenerator("x", v))
