@@ -42,6 +42,9 @@ Times, each as the best of ``--repeat`` runs of ``time.perf_counter``:
     per side, which exhausts (ms);
   * ``semidecide_homomorphism`` for the doubling map (ms);
   * ``semidecide_trivial`` on the word of BS(2,3)'s 300th emission (ms);
+  * ``semidecide_trivial`` of ``x`` over ``< x, y | x y x^-1 y^-1 >`` at
+    budget 20,000: no emission has x's exponent vector, so it exhausts
+    (ms, and the steps spent);
   * ``verify_iso_witness`` on the pinned pair's witness at budget 2000 (ms);
   * in-process ``fpw check-cert`` on a one-factor BS(2,3) certificate,
     ``fpw demo non-hopfian`` and ``fpw demo recover-card``, stdout
@@ -281,6 +284,12 @@ def measure(repeat: int) -> dict:
         secs, proved = best_of(repeat, lambda: semidecide_trivial(bs, word, 20000))
         return {"ms": secs * 1e3, "steps": proved.steps}
 
+    def scan_unreachable():
+        comm = parse_presentation("< x, y | x y x^-1 y^-1 >")
+        x = parse_word(comm.generators, "x")
+        secs, outcome = best_of(repeat, lambda: semidecide_trivial(comm, x, 20000))
+        return {"ms": secs * 1e3, "steps": outcome.steps}
+
     def verify_pinned():
         witness = iso_search(bs, variant, SearchBudget(400, 300)).witness
         secs, ok = best_of(repeat, lambda: verify_iso_witness(bs, variant, witness, 2000))
@@ -329,7 +338,9 @@ def measure(repeat: int) -> dict:
                       ("stream.bs23_744", stream), ("stream.multi_relator_20000", stream_multi_relator),
                       ("search.iso_pinned", iso_pinned), ("search.iso_filtered_5000", iso_filtered_5000),
                       ("search.subgroup_z2_300", subgroup_z2), ("search.hom_doubling", hom_doubling),
-                      ("semidecide.trivial_300th", trivial_300th), ("search.verify_pinned", verify_pinned),
+                      ("semidecide.trivial_300th", trivial_300th),
+                      ("presentations.scan_unreachable_20000", scan_unreachable),
+                      ("search.verify_pinned", verify_pinned),
                       ("cli.check_cert", check_cert), ("cli.demo_non_hopfian", cli_call("demo", "non-hopfian")),
                       ("cli.demo_recover_card", cli_call("demo", "recover-card")),
                       ("import.fpw_cli", reimport)]:  # last: it replaces the modules the others use

@@ -106,15 +106,18 @@ def _read_file(path: str) -> str:
     return data.decode()
 
 
-def _load_json_arg(text: str):
-    """Inline JSON if it looks like it, else the contents of a file path."""
-    source = text.strip()
+def _load_json_arg(text: str, flag: str):
+    """Inline JSON if it looks like it, else the contents of a file path;
+    malformed JSON is refused naming ``flag``, the file and the position."""
+    source, where = text.strip(), "inline JSON"
     if not source.startswith(("[", "{")):
-        source = _read_file(text)
+        source, where = _read_file(text), text
     try:
         return json.loads(source)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{flag}: {where}: not valid JSON at line {e.lineno}, column {e.colno}") from None
 
 
 def _load_presentation(text: str):
@@ -210,7 +213,7 @@ def _cmd_enum_trivial(args) -> int:
 def _cmd_check_cert(args) -> int:
     pres = _load_presentation(args.presentation)
     w = parse_word(pres.generators, args.word)
-    cert = TrivialityCertificate.from_json(pres.generators, _load_json_arg(args.cert))
+    cert = TrivialityCertificate.from_json(pres.generators, _load_json_arg(args.cert, "--cert"))
     derived = certificate_word(pres, cert)
     if derived == w:
         print("valid")
@@ -299,7 +302,7 @@ def _cmd_subgrp(args) -> int:
 
 def _cmd_tietze_apply(args) -> int:
     pres = _load_presentation(args.presentation)
-    moves_data = _load_json_arg(args.moves)
+    moves_data = _load_json_arg(args.moves, "--moves")
     if not isinstance(moves_data, list):
         raise ValueError("moves must be a JSON list")
     result, log = apply_sequence(pres, moves_data)
@@ -309,7 +312,7 @@ def _cmd_tietze_apply(args) -> int:
 
 def _cmd_tietze_check(args) -> int:
     pres = _load_presentation(args.presentation)
-    move = parse_move(pres, _load_json_arg(args.move))
+    move = parse_move(pres, _load_json_arg(args.move, "--move"))
     outcome = check_move(pres, move, args.budget)
     if isinstance(outcome, Valid):
         cert = None if outcome.certificate is None else outcome.certificate.to_json()
@@ -325,7 +328,12 @@ def _cmd_tietze_check(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    print(cantor_pair(args.x, args.y))
+    z = cantor_pair(args.x, args.y)
+    try:
+        text = str(z)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise ValueError(f"pairing has more than {sys.get_int_max_str_digits()} digits") from None
+    print(text)
     return EXIT_OK
 
 

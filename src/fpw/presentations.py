@@ -274,8 +274,8 @@ def _certificate(conjs: tuple[Word, ...], idxs: tuple[int, ...], signs: tuple[in
 
 
 def _emissions(
-    pres: Presentation,
-) -> Iterator[tuple[tuple[int, ...], tuple[Word, ...], tuple[int, ...], tuple[int, ...]]]:
+    pres: Presentation, vectors: Collection[int] | None = None
+) -> Iterator[tuple[tuple[int, ...] | None, tuple[Word, ...], tuple[int, ...], tuple[int, ...]]]:
     """The certificate stream, raw: (codes, conjugators, indices, signs) per
     emission, in ``trivial_word_stream``'s order, ``codes`` freely reduced.
 
@@ -287,27 +287,45 @@ def _emissions(
     ``max_idx`` once per (n, max_idx) block, so no emission builds an index
     or sign tuple of its own.  A conjugator tuple and its memos come
     straight off products of each length's words and memos.
+
+    Given ``vectors``, exponent vectors packed by ``_packed``, a row
+    (indices, signs) whose summed relator vector is not among them is
+    yielded with ``None`` for its codes and joins nothing: conjugation does
+    not change an exponent vector, so no emission of that row has one of
+    ``vectors``.  The rows, conjugator levels and memos are those of the
+    unfiltered stream.  A block works out its rows' vectors when its first
+    conjugator tuple reaches them, and keeps per index tuple one list that
+    points into the rows shared per n.
     """
     relators = _relator_codes(pres)
     rels: list[dict[int, tuple[int, ...]]] = []  # rels[i][e] is r_i^e, pulled as the sizes need them
+    rel_vectors: list[int] = []  # each r_i's exponent vector, packed, kept only given ``vectors``
     conjugators = _shortlex_levels(pres.generators)
     # per length: the conjugators, and each one's memo; memo[i][e] is c r_i^e c^-1 reduced
     words_of: list[list[Word]] = []
     memos_of: list[list[list[dict[int, tuple[int, ...]]]]] = []
-    # sign_rows[n - 1]: each n-tuple of signs, +1 before -1, with its head and tail
+    # sign_rows[n - 1]: each n-tuple of signs, +1 before -1, with its head and tail;
+    # skip_rows[n - 1]: the same signs as rows that join nothing
     sign_rows: list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]] = []
+    skip_rows: list[list[tuple[tuple[int, ...], None, None]]] = []
     yield (), (), (), ()
     for size in itertools.count(1):
-        rels += ({1: r, -1: _inverse(r)} for r in itertools.islice(relators, size - len(rels)))
+        for r in itertools.islice(relators, size - len(rels)):
+            rels.append({1: r, -1: _inverse(r)})
+            if vectors is not None:
+                rel_vectors.append(_packed(r))
         if not rels:  # the source ended before its first relator
             return
         for n in range(1, size + 1):
             if n > len(sign_rows):
                 sign_rows.append([(s, s[0], s[1:]) for s in itertools.product((1, -1), repeat=n)])
+                skip_rows.append([(s, None, None) for s, _, _ in sign_rows[-1]])
             rest = size - n
             for max_idx in range(0, min(rest, len(rels) - 1) + 1):
                 conj_total = rest - max_idx
                 idx_tuples = [t for t in itertools.product(range(max_idx + 1), repeat=n) if max_idx in t]
+                # rows_of[k]: the rows of idx_tuples[k], each skipped unless it can hit
+                rows_of = [] if vectors is not None else [sign_rows[n - 1]] * len(idx_tuples)
                 for comp in _compositions(conj_total, n):
                     while len(words_of) <= max(comp):
                         words_of.append(next(conjugators))
@@ -318,11 +336,22 @@ def _emissions(
                     ):
                         for c, memo in zip(words, memos):
                             while len(memo) <= max_idx:
-                                c_inv, i = _inverse(c.codes), len(memo)
-                                memo.append({e: _join(_join(c.codes, rels[i][e]), c_inv) for e in (1, -1)})
-                        for idxs in idx_tuples:
+                                c_inv, r = _inverse(c.codes), rels[len(memo)]
+                                memo.append({1: _join(_join(c.codes, r[1]), c_inv),
+                                             -1: _join(_join(c.codes, r[-1]), c_inv)})
+                        for k, idxs in enumerate(idx_tuples):
+                            if k == len(rows_of):  # the block's first conjugator tuple reaches idxs
+                                totals = [0]  # each sign row's summed vector, packed, in sign_rows order
+                                for v in map(rel_vectors.__getitem__, reversed(idxs)):
+                                    totals = [t + v for t in totals] + [t - v for t in totals]
+                                rows = [row if t in vectors else skip
+                                        for row, skip, t in zip(sign_rows[n - 1], skip_rows[n - 1], totals)]
+                                rows_of.append(skip_rows[n - 1] if rows == skip_rows[n - 1] else rows)
                             head, *tail = map(list.__getitem__, memos, idxs)
-                            for signs, first, later in sign_rows[n - 1]:
+                            for signs, first, later in rows_of[k]:
+                                if later is None:
+                                    yield None, words, idxs, signs
+                                    continue
                                 codes = head[first]
                                 for factor in map(dict.__getitem__, tail, later):
                                     codes = _join(codes, factor)
@@ -345,7 +374,10 @@ def _scan(
     stream, matched against the targets' codes: the first certificate of each
     target, in target order, and the position of the last target to appear,
     or Exhausted if one does not appear.  A certificate is built only for an
-    emission that hits a target."""
+    emission that hits a target.  The stream is given the targets' exponent
+    vectors, so it joins only the rows that can hit; every row still counts
+    one step, so steps, certificates and Exhausted are those of a scan that
+    joins every emission."""
     pending: dict[tuple[int, ...], list[int]] = {}
     for pos, t in enumerate(targets):
         pending.setdefault(t.codes, []).append(pos)
@@ -353,7 +385,8 @@ def _scan(
     if not pending:
         return certs, 0
     steps = 0
-    for codes, conjs, idxs, signs in itertools.islice(_emissions(pres), budget):
+    vectors = {_packed(t.codes) for t in targets}
+    for codes, conjs, idxs, signs in itertools.islice(_emissions(pres, vectors), budget):
         steps += 1
         if codes in pending:
             cert = _certificate(conjs, idxs, signs)
@@ -424,6 +457,15 @@ def exponent_vector(alphabet: Alphabet, w: Word) -> tuple[int, ...]:
     for c in w.codes:
         row[abs(c) - 1] += 1 if c > 0 else -1
     return tuple(row)
+
+
+def _packed(codes: tuple[int, ...]) -> int:
+    """The exponent vector of ``codes`` as one integer, 64 bits per
+    generator: letter +-g adds +-2^(64 (g - 1)).  Packing is additive, and
+    one-to-one on vectors whose entries stay below 2^63 in size, which every
+    row of the stream's does: its entries are at most its factor count times
+    a relator's length."""
+    return sum(1 << 64 * c - 64 if c > 0 else -1 << -64 * c - 64 for c in codes)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

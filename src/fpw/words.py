@@ -145,8 +145,11 @@ def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
 
 def _join(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
     """``_reduce(left + right)`` where two freely reduced words meet: letters
-    can cancel only at the junction, so only that run is trimmed."""
-    k, most = 0, min(len(left), len(right))
+    can cancel only at the junction, so only that run is trimmed, and words
+    whose junction letters do not cancel are concatenated as they are."""
+    if not left or not right or left[-1] != -right[0]:
+        return left + right
+    k, most = 1, min(len(left), len(right))
     while k < most and left[-1 - k] == -right[k]:
         k += 1
     return left[: len(left) - k] + right[k:]

@@ -11,12 +11,13 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 import fpw.presentations
 import fpw.tietze
 from fpw.bs import BS23, ST, bs_presentation, doubling_map
 from fpw.cli import main
-from fpw.harness import cantor_unpair
+from fpw.harness import ExplicitFiniteSet, cantor_unpair, quotient_tower_presentation
 from fpw.presentations import (
     CertFactor,
     Exhausted,
@@ -26,7 +27,9 @@ from fpw.presentations import (
     parse_presentation,
     semidecide_trivial,
     trivial_word_stream,
+    _certificate,
     _emissions,
+    _scan,
 )
 from fpw.search import (
     IsoWitness,
@@ -50,10 +53,11 @@ from fpw.tietze import (
     apply_move,
     check_move,
 )
-from fpw.words import GeneratorMap, shortlex_stream, substitute
+from fpw.words import GeneratorMap, shortlex_stream, substitute, _reduce, _word
 
 from conftest import w
 from test_search import SCANNER_CASES
+from test_stream_contract import _REPEATING, _alphabets_and_relators
 
 BUDGETS = (0, 1, 5, 50, 300)
 BS = bs_presentation(BS23)
@@ -246,6 +250,70 @@ def test_check_move_matches_the_old_branches(pres):
         check_move(pres, AddRelator(pres.generators.empty_word(), None), -1)
 
 
+# ---------------------------------------------------------------- the scan against the scan that joined every emission
+
+
+def _joining_scan(pres, targets, budget):
+    """``_scan`` as it was when it joined every emission of the unfiltered stream."""
+    pending = {}
+    for pos, t in enumerate(targets):
+        pending.setdefault(t.codes, []).append(pos)
+    certs = [None] * len(targets)
+    if not pending:
+        return certs, 0
+    steps = 0
+    for codes, conjs, idxs, signs in itertools.islice(_emissions(pres), budget):
+        steps += 1
+        if codes in pending:
+            cert = _certificate(conjs, idxs, signs)
+            for pos in pending.pop(codes):
+                certs[pos] = cert
+            if not pending:
+                return certs, steps
+    return Exhausted(steps)
+
+
+SCAN_PRESENTATIONS = [
+    *CASES,
+    quotient_tower_presentation(ExplicitFiniteSet.of([4])),  # P_W for W = {4}, a recursive presentation
+    FinitePresentation(_REPEATING.generators, tuple(_REPEATING.relator_source())),  # x^2, x^2, the empty word, y^3
+    _REPEATING,
+]
+
+
+@st_.composite
+def _scan_cases(draw):
+    """A presentation, fixed or drawn with repeated and empty relators, and
+    1-3 targets: the empty word, words among the first 300 emissions, and
+    reduced words of 1-5 letters, which the stream mostly never reaches and
+    whose exponent vectors often no row has."""
+    pres = draw(st_.sampled_from(SCAN_PRESENTATIONS) | _alphabets_and_relators().map(lambda d: FinitePresentation(*d)))
+    reached = [codes for codes, *_ in itertools.islice(_emissions(pres), 300)]
+    letters = [c for i in range(1, len(pres.generators) + 1) for c in (i, -i)]
+    target = st_.one_of(
+        st_.just(()),
+        st_.sampled_from(reached),
+        st_.lists(st_.sampled_from(letters), min_size=1, max_size=5).map(_reduce),
+    )
+    return pres, [_word(pres.generators, codes) for codes in draw(st_.lists(target, min_size=1, max_size=3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases(), st_.integers(0, 400))
+def test_scan_matches_the_scan_that_joined_every_emission(case, budget):
+    """Same certificates and steps, or the same Exhausted, at budgets 0, 1, a
+    drawn one, and, for targets all hit within 400 emissions, exactly the
+    last hit and one short of it."""
+    pres, targets = case
+    budgets = {0, 1, budget}
+    full = _joining_scan(pres, targets, 400)
+    if not isinstance(full, Exhausted):
+        budgets |= {full[1], full[1] - 1}
+    for b in sorted(budgets):
+        got, old = _scan(pres, targets, b), _joining_scan(pres, targets, b)
+        assert type(got) is type(old) and got == old, b
+
+
 # ---------------------------------------------------------------- streams and evaluations counted
 
 
@@ -256,9 +324,9 @@ def test_verify_iso_witness_opens_one_stream_per_side(monkeypatch):
     assert found.pair_index == 364
     opened = []
 
-    def counting(pres):
+    def counting(pres, *vectors):
         opened.append(pres)
-        return _emissions(pres)
+        return _emissions(pres, *vectors)
 
     monkeypatch.setattr(fpw.presentations, "_emissions", counting)
     assert verify_iso_witness(BS, variant, found.witness, 2000)

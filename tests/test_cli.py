@@ -474,6 +474,16 @@ def test_substitution_past_the_letter_cap_is_a_bounded_domain_error():
     assert proc.stderr == "error: substitution spells more than 1048576 letters\n"
 
 
+def test_hom_check_into_a_long_relator_ends():
+    # each emission of < x | x^200000 > spells 200,000 letters or more, about
+    # 15 ms to join, so joining all 20,000 took some 5 minutes; none can hit x
+    argv = ["hom-check", "-p", "< a | a >", "-q", "< x | x^200000 >", "--map", "a=x"]
+    start = time.perf_counter()
+    proc = _run_cli_process(argv, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_BUDGET, "exhausted after 20000 steps\n", "")
+
+
 @pytest.mark.parametrize("kmax", [40, 10**8])
 def test_recover_card_reads_levels_past_the_witness_family_cap(kmax):
     # the linear witnesses v_j stay short and the scan stops at the first
@@ -600,6 +610,8 @@ _ADD_X = json.dumps({"op": "add_gen", "name": "x", "definition": "x"})
 _TWO_MOVES = json.dumps([{"op": "add_gen", "name": "y", "definition": "x x"},
                          {"op": "add_rel", "word": "x^4", "cert": [{"conj": "", "rel": 0, "sign": 1}] * 2}])
 _BAD_MOVE = json.dumps([{"op": "rem_gen", "name": "z", "index": 0}])
+_README = str(SRC.parent / "README.md")  # a file argument that is not JSON
+_DIGITS_4001 = "9" * 4001  # two of them pair past the int-to-str digit limit
 
 # (argv, exit code, stdout, stderr) of every --json command in both modes, every
 # budget exit and a two-move Tietze chain, recorded before the handlers shared
@@ -679,6 +691,18 @@ _GOLDEN = (
     (("compress", " "), EXIT_OK, "\n", ""),
     (("demo", "recover-card", "--set", "a"), EXIT_DOMAIN, "", "error: not an integer: 'a'\n"),
     (("demo", "recover-card", "--set", "4,-7"), EXIT_DOMAIN, "", "error: elements must be naturals\n"),
+    # no emission of < x | x^200000 > has x's exponent vector, so no row is joined
+    (("hom-check", "-p", "< a | a >", "-q", "< x | x^200000 >", "--map", "a=x"), EXIT_BUDGET,
+     "exhausted after 20000 steps\n", ""),
+    # a JSON argument that is not JSON, and a pairing past the digit limit, in fpw's own words
+    (("check-cert", "-p", "< x | x^2 >", "x^2", "--cert", _README), EXIT_DOMAIN, "",
+     f"error: --cert: {_README}: not valid JSON at line 1, column 1\n"),
+    (("tietze-apply", "-p", "< x | x^2 >", "--moves", _README), EXIT_DOMAIN, "",
+     f"error: --moves: {_README}: not valid JSON at line 1, column 1\n"),
+    (("tietze-check", "-p", "< x | x^2 >", "--move", '{"op": "add_gen",\n "name": y}'), EXIT_DOMAIN, "",
+     "error: --move: inline JSON: not valid JSON at line 2, column 10\n"),
+    (("pair", _DIGITS_4001, _DIGITS_4001), EXIT_DOMAIN, "",
+     f"error: pairing has more than {sys.get_int_max_str_digits()} digits\n"),
 )
 
 

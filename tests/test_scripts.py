@@ -86,6 +86,8 @@ def test_bench_writes_layer_numbers(tmp_path):
     assert multi["emissions"] == [20000, 20000]
     assert len(multi["case_ms"]) == 2 and all(ms > 0 for ms in multi["case_ms"])
     assert run["layers"]["semidecide.trivial_300th"]["steps"] == 300  # first emitted there
+    assert run["layers"]["presentations.scan_unreachable_20000"]["steps"] == 20000
+    assert run["layers"]["presentations.scan_unreachable_20000"]["ms"] > 0
     assert run["layers"]["search.verify_pinned"]["verified"] is True
     assert run["layers"]["search.verify_pinned"]["ms"] > 0
     assert run["layers"]["cli.check_cert"]["exit"] == 0

@@ -8,6 +8,8 @@ an integer code; any change to the stream or to the word kernel under it
 must reproduce them byte for byte.
 """
 
+import collections
+import gc
 import hashlib
 import itertools
 import json
@@ -22,9 +24,12 @@ from fpw.presentations import (
     RecursivePresentation,
     TrivialityCertificate,
     certificate_word,
+    exponent_vector,
     parse_presentation,
+    semidecide_trivial,
     trivial_word_stream,
     _emissions,
+    _packed,
 )
 from fpw.words import Alphabet, format_word, invert, parse_word, _inverse, _reduce, _word
 
@@ -177,6 +182,70 @@ def test_raw_stream_holds_no_more_than_the_parent_stream(text, bound):
         _pull(stream(pres), 50_000)
     change, parent = (_peak_bytes(stream(pres), 50_000) for stream in streams)
     assert change <= bound * parent
+
+
+# ---------------------------------------------------------------- the filtered stream against the unfiltered one
+
+SIX_RELATORS = "< a, b | a^2, b^2, a b a b, a^3 b, b^3 a, a b^-1 a b >"
+
+
+@pytest.mark.parametrize("text", ["< s, t | s^-1 t^2 s t^-3 >", "< a, b | a^3, a b a^-1 b^-1 >", SIX_RELATORS])
+def test_filtered_stream_yields_every_row_and_joins_those_that_can_hit(text):
+    """Given exponent vectors, the stream yields the unfiltered stream's
+    conjugators, indices and signs in order, and codes exactly for the rows
+    whose words have one of the vectors."""
+    pres = parse_presentation(text)
+    full = list(itertools.islice(_emissions(pres), 3000))
+    # three reached vectors and (99, 0), which no row of these presentations has
+    vectors = {_packed(full[k][0]) for k in (17, 400, 2999)} | {_packed((1,) * 99)}
+    filtered = list(itertools.islice(_emissions(pres, vectors), 3000))
+    assert [row[1:] for row in filtered] == [row[1:] for row in full]
+    assert filtered[0] == full[0] == ((), (), (), ())  # the empty certificate is no block's row
+    joined = 0
+    for (codes, *_), (full_codes, *_) in zip(filtered[1:], full[1:]):
+        if codes is None:
+            assert _packed(full_codes) not in vectors
+        else:
+            assert codes == full_codes and _packed(codes) in vectors
+            joined += 1
+    assert 0 < joined < len(full) - 1
+
+
+_CODES = st_.lists(st_.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12)
+
+
+@settings(max_examples=300)
+@given(_CODES, _CODES)
+def test_packed_vectors_agree_exactly_where_exponent_vectors_do(a, b):
+    abc = Alphabet.of("a", "b", "c")
+    va, vb = (exponent_vector(abc, _word(abc, _reduce(codes))) for codes in (a, b))
+    assert (_packed(tuple(a)) == _packed(tuple(b))) == (va == vb)
+
+
+def _peak_from_empty_free_lists(run):
+    """The peak traced memory of ``run()``, started with the interpreter's free
+    lists emptied, so that every tuple it builds is traced."""
+    gc.collect()  # a full collection clears the free lists
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_filtered_scan_holds_no_more_than_the_unfiltered_stream():
+    """A block stores, per index tuple, one pointer to a list of rows shared
+    per n, never one object per index x sign row.  The largest block within
+    20,000 emissions has 1040 rows (65 index tuples x 16 sign tuples); a
+    fresh skipped row per index x sign row takes the peak to about 1.6x the
+    unfiltered stream's, against about 0.95x here."""
+    pres = parse_presentation("< a | a^2, a^3, a^5, a^7, a^11, a^13 >")
+    target = parse_word(pres.generators, "a^1000")  # no row within 20,000 emissions has vector (1000)
+    assert semidecide_trivial(pres, target, 20_000) == (20_000,)
+    unfiltered = _peak_from_empty_free_lists(lambda: collections.deque(itertools.islice(_emissions(pres), 20_000), 0))
+    scanned = _peak_from_empty_free_lists(lambda: semidecide_trivial(pres, target, 20_000))
+    assert scanned <= 1.25 * unfiltered
 
 
 # ---------------------------------------------------------------- certificate evaluation
